@@ -125,9 +125,10 @@ def _run_faultsim(argv: list[str]) -> int:
     like the Table II/III experiments, but sharded over a process pool
     (``--workers``) with per-shard checkpoints, so the full campaign
     runs at host speed and a killed run resumes where it left off.
-    ``--workers 1`` is the exact serial path; any worker/shard geometry
-    produces bit-identical coverage (the differential test suite's
-    invariant).
+    ``--workers 1`` runs the shards in this process unless the run is
+    supervised (``--max-retries``/``--shard-timeout``/``--allow-partial``),
+    which always uses a pool; any worker/shard geometry produces
+    bit-identical coverage (the differential test suite's invariant).
     """
     # Function-level imports: the table experiments don't need any of
     # the campaign machinery (and vice versa).
@@ -136,10 +137,11 @@ def _run_faultsim(argv: list[str]) -> int:
 
     from repro.core.determinism import default_scenarios
     from repro.faults.campaign import COVERAGE_GRADERS, ModuleCoverage, coverage_range
-    from repro.faults.parallel import (
-        resolve_workers,
+    from repro.faults.orchestrator import (
+        RetryPolicy,
         run_parallel_checkpointed_campaign,
     )
+    from repro.faults.parallel import resolve_workers
     from repro.faults.ppsfp import ENGINES
     from repro.faults.workload import (
         DEFAULT_CAMPAIGN_MODELS,
@@ -162,7 +164,8 @@ def _run_faultsim(argv: list[str]) -> int:
         type=int,
         default=1,
         help=(
-            "process-pool size (1 = exact serial path, the default); "
+            "process-pool size (1, the default, runs the shards in this "
+            "process unless the run is supervised); "
             "requests beyond the host's CPU count are clamped"
         ),
     )
@@ -266,8 +269,6 @@ def _run_faultsim(argv: list[str]) -> int:
     )
     policy = None
     if supervised:
-        from repro.faults.orchestrator import RetryPolicy
-
         policy = RetryPolicy(
             max_retries=2 if args.max_retries is None else args.max_retries,
             shard_timeout=args.shard_timeout,
@@ -288,9 +289,9 @@ def _run_faultsim(argv: list[str]) -> int:
             policy=policy,
         )
     elapsed = time.time() - start
-    report = getattr(result, "report", None)
-    quarantined_shards = list(getattr(result, "quarantined_shards", ()))
-    quarantined_labels = list(getattr(result, "quarantined_labels", ()))
+    report = result.report
+    quarantined_shards = list(result.quarantined_shards)
+    quarantined_labels = list(result.quarantined_labels)
     failed = sorted(
         label for label, o in result.outcomes.items() if o.failed
     )

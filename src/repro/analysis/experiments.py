@@ -11,7 +11,9 @@ target.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.core.cache_wrapper import cache_wrapped_builder
 from repro.core.determinism import (
@@ -24,13 +26,14 @@ from repro.core.golden import finalise_with_expected, run_alone
 from repro.core.tcm_wrapper import build_tcm_wrapped
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C, CoreModel
 from repro.cpu.trace import render_pipeline_diagram
+from repro.errors import SimulationError
 from repro.faults.campaign import (
     CoverageRange,
     ModuleCoverage,
     coverage_range,
-    forwarding_coverage,
     hdcu_coverage,
     icu_coverage,
+    run_checkpointed_campaign,
 )
 from repro.isa.instructions import Csr, Instruction, Mnemonic
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
@@ -226,20 +229,11 @@ def table2_forwarding(
         )
         for i, m in MODELS.items()
     }
-    plain_results = [run_scenario(plain, s, soc_config) for s in scenarios]
-    wrapped_results = [run_scenario(wrapped, s, soc_config) for s in scenarios]
+    plain_fc = _forwarding_campaign(plain, scenarios, soc_config)
+    wrapped_fc = _forwarding_campaign(wrapped, scenarios, soc_config)
     result = Table2Result()
     for core_id, model in MODELS.items():
-        no_cache = [
-            forwarding_coverage(r.per_core[core_id].log, model)
-            for r in plain_results
-            if core_id in r.per_core
-        ]
-        cached = [
-            forwarding_coverage(r.per_core[core_id].log, model)
-            for r in wrapped_results
-            if core_id in r.per_core
-        ]
+        no_cache, cached = plain_fc[core_id], wrapped_fc[core_id]
         result.rows.append(
             Table2Row(
                 core=model.name,
@@ -249,6 +243,32 @@ def table2_forwarding(
             )
         )
     return result
+
+
+def _forwarding_campaign(
+    builders, scenarios, soc_config: SocConfig
+) -> dict[int, list[ModuleCoverage]]:
+    """Core id -> its FWD coverage in every scenario it is active in.
+
+    One pass of the ordinary checkpointed campaign (checkpoint in a
+    temporary directory, no retries: a deterministic scenario that
+    fails once fails again) — a failed scenario raises instead of
+    leaving a hole in the table.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        outcomes = run_checkpointed_campaign(
+            builders, scenarios, MODELS, Path(tmp) / "campaign.json",
+            modules=("FWD",), soc_config=soc_config, retries=0,
+        )
+    per_core: dict[int, list[ModuleCoverage]] = {core: [] for core in MODELS}
+    for outcome in outcomes.values():
+        if outcome.failed:
+            raise SimulationError(
+                f"Table II scenario {outcome.label} failed: {outcome.error}"
+            )
+        for entry in outcome.coverages:
+            per_core[entry["core_id"]].append(ModuleCoverage.from_dict(entry))
+    return per_core
 
 
 # ----------------------------------------------------------------------

@@ -116,15 +116,6 @@ class ActivationLog:
     hdcu: list[HdcuRecord] = field(default_factory=list)
     icu: list[IcuRecord] = field(default_factory=list)
 
-    def observable_forwarding(self) -> list[ForwardingRecord]:
-        return [r for r in self.forwarding if r.observable]
-
-    def observable_hdcu(self) -> list[HdcuRecord]:
-        return [r for r in self.hdcu if r.observable]
-
-    def observable_icu(self) -> list[IcuRecord]:
-        return [r for r in self.icu if r.observable]
-
     def forwarded_path_set(self) -> set[tuple[int, int, FwdSource]]:
         """The set of (slot, operand, source) paths actually exercised
         with a non-RF forward inside the observable window — the paper's

@@ -1,58 +1,65 @@
-"""Supervised, fault-tolerant orchestration of sharded fault campaigns.
+"""The one shard-dispatch loop of the sharded engines.
 
-PR 1 gave the *simulated SoC* a supervised test manager: retry a failed
-routine, quarantine a persistent failure, report instead of aborting.
-This module applies the identical discipline one layer up, to the
-campaign infrastructure itself — because on a real shared machine the
-process pool is exactly as failure-prone as the silicon the paper
-worries about.  The orchestrator wraps the sharded engines of
-:mod:`repro.faults.parallel` with:
+Scenario campaigns (:func:`run_parallel_checkpointed_campaign`) and
+fault-list grading (:func:`parallel_fault_simulate`,
+:func:`parallel_transition_fault_simulate`,
+:func:`orchestrated_fault_simulate`) split their work with the pure
+primitives of :mod:`repro.faults.parallel` and hand the shards to one
+loop, :func:`_supervise`.  Its dispatch rule:
 
-* **Bounded, deterministic retry.**  A failed shard is re-dispatched up
-  to ``max_retries`` times behind an exponential-backoff delay whose
-  jitter is *seeded* (blake2b of ``(seed, shard, failure)``) — the
-  schedule is a pure function, reproducible run to run, and backoff
-  affects only wall-clock, never results.
-* **Pool-death recovery with attribution.**  A
-  :class:`~concurrent.futures.process.BrokenProcessPool` condemns every
-  in-flight future, so the guilty shard is unknowable.  The orchestrator
-  rebuilds the pool and re-dispatches the suspects **in isolation** (one
-  at a time): an innocent shard completes and is exonerated without a
-  counted failure; a shard that breaks the pool again while alone is the
-  culprit and its retry budget is charged.  No innocent shard can be
-  quarantined by a neighbour's crash.
-* **Straggler re-dispatch.**  With a ``shard_timeout``, a shard running
-  past its deadline is declared hung: the pool is torn down (a running
-  future cannot be cancelled), the straggler is charged one failure, and
-  every other in-flight shard is re-dispatched uncharged.  Shard
-  checkpoints make the re-run cheap; determinism makes it invisible.
-* **Graceful degradation.**  More than ``max_pool_rebuilds`` rebuilds
-  means the host cannot sustain a pool at all — the orchestrator
-  finishes the remaining shards serially in-process (where chaos-style
-  process failures downgrade to ordinary exceptions) rather than
-  flailing.
-* **Quarantine, not abort.**  A shard that exhausts its budget is
-  quarantined; the campaign completes and returns a
-  :class:`PartialCampaignResult` that *enumerates* the loss — coverage
-  becomes an explicit lower bound — or raises
-  :class:`~repro.errors.OrchestrationError` when the caller did not opt
-  into partial completion.
+* shards run **in the calling process** if and only if ``workers == 1``
+  and there is no :class:`RetryPolicy`; otherwise they run through a
+  process pool (a single-worker pool at ``workers=1`` with a policy, so
+  a crashing or hung shard is recoverable rather than fatal);
+* the policy decides what a shard failure does.  Without one, the first
+  shard exception propagates unchanged once the pool is torn down.
+  With one, the run is supervised:
 
-Every decision emits a typed telemetry event (``shard.retry``,
-``shard.straggler``, ``shard.quarantine``, ``pool.rebuild``) through the
-:class:`~repro.telemetry.events.EventSink` contract, and a structured
-:class:`OrchestrationReport` lands next to the checkpoint manifest.
+  - **Bounded, deterministic retry.**  A failed shard is re-dispatched
+    up to ``max_retries`` times behind an exponential-backoff delay
+    whose jitter is *seeded* (blake2b of ``(seed, shard, failure)``) —
+    the schedule is a pure function, and backoff affects only
+    wall-clock, never results.
+  - **Pool-death recovery with attribution.**  A
+    :class:`~concurrent.futures.process.BrokenProcessPool` condemns
+    every in-flight future, so the guilty shard is unknowable.  The
+    pool is rebuilt and the suspects re-dispatched **in isolation** (one
+    at a time): an innocent shard completes uncharged; a shard that
+    breaks the pool again while alone is the culprit and its retry
+    budget is charged.
+  - **Straggler re-dispatch.**  With a ``shard_timeout``, a shard
+    running past its deadline is declared hung: the pool is torn down
+    (a running future cannot be cancelled), the straggler is charged
+    one failure, and every other in-flight shard is re-dispatched
+    uncharged.  Shard checkpoints make the re-run cheap; determinism
+    makes it invisible.
+  - **Graceful degradation.**  More than ``max_pool_rebuilds`` rebuilds
+    means the host cannot sustain a pool at all — the remaining shards
+    run in-process, on the same path an unsupervised ``workers=1`` run
+    takes (chaos-style process failures downgrade to exceptions there).
+  - **Quarantine, not abort.**  A shard that exhausts its budget is
+    quarantined; the run completes with the loss *enumerated* — coverage
+    becomes an explicit lower bound — or raises
+    :class:`~repro.errors.OrchestrationError` when the caller did not
+    opt into partial completion.
+
+Every supervised decision emits a typed telemetry event
+(``shard.retry``, ``shard.straggler``, ``shard.quarantine``,
+``pool.rebuild``) through the :class:`~repro.telemetry.events.EventSink`
+contract, and a structured :class:`OrchestrationReport` lands next to
+the campaign's checkpoint manifest.
 
 The headline invariant, enforced by the chaos suite
-(``tests/test_orchestrator_chaos.py`` with
-:mod:`repro.faults.chaos`): whenever no shard ends quarantined, merged
-results and campaign signatures are **bit-identical** to a clean run —
-retries, rebuilds and straggler kills are invisible in the numbers.
+(``tests/test_orchestrator_chaos.py`` with :mod:`repro.faults.chaos`):
+whenever no shard ends quarantined, merged results and campaign
+signatures are **bit-identical** to a clean run — retries, rebuilds and
+straggler kills are invisible in the numbers.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -61,35 +68,36 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 
-from repro.errors import FaultModelError, OrchestrationError
-from repro.faults.campaign import ScenarioOutcome
+from repro.errors import CheckpointError, FaultModelError, OrchestrationError
+from repro.faults.campaign import ScenarioOutcome, run_checkpointed_campaign
 from repro.faults.parallel import (
-    ParallelCampaignResult,
     ShardTiming,
-    _campaign_shard_worker,
     _merge_campaign_outcomes,
-    _pool_context,
     _prepare_campaign,
-    _record_shard_metrics,
-    _shard_spec,
-    _simulate_shard,
     check_partition,
     reduce_results,
     shard_faults,
 )
-from repro.faults.ppsfp import DropSet, FaultSimResult
+from repro.faults.ppsfp import DropSet, FaultSimResult, fault_simulate
+from repro.faults.stuckat import collapse_with_weights
+from repro.faults.transition import (
+    enumerate_transition_faults,
+    transition_fault_simulate,
+)
 from repro.telemetry.events import NULL_SINK, EventKind
 
 __all__ = [
     "ORCHESTRATION_REPORT_NAME",
     "OrchestratedSimResult",
     "OrchestrationReport",
+    "ParallelCampaignResult",
     "PartialCampaignResult",
     "RetryPolicy",
     "ShardAttempt",
     "orchestrated_fault_simulate",
-    "orchestrated_transition_fault_simulate",
-    "run_supervised_campaign",
+    "parallel_fault_simulate",
+    "parallel_transition_fault_simulate",
+    "run_parallel_checkpointed_campaign",
 ]
 
 #: Report filename, written next to the campaign's ``manifest.json``.
@@ -281,15 +289,24 @@ class OrchestrationReport:
 
 
 @dataclass
-class PartialCampaignResult(ParallelCampaignResult):
-    """A supervised campaign's outcome, quarantine roster included.
+class ParallelCampaignResult:
+    """A sharded campaign's merged outcomes and shard-level accounting.
 
     ``outcomes`` covers exactly the scenarios whose shards completed;
-    ``quarantined_labels`` enumerates the rest, so any coverage computed
-    from this result is an explicit *lower bound* over an explicit
-    denominator — never a silently shrunken campaign.
+    ``quarantined_labels`` enumerates the rest (only a supervised run
+    under ``allow_partial`` can have any), so coverage computed from
+    this result is an explicit *lower bound* over an explicit
+    denominator — never a silently shrunken campaign.  ``report`` is
+    the supervised run's :class:`OrchestrationReport` (None without a
+    policy).
     """
 
+    outcomes: dict[str, ScenarioOutcome]
+    shard_timings: list[ShardTiming] = field(default_factory=list)
+    num_shards: int = 1
+    workers: int = 1
+    #: Shard indices actually executed this run (resume skips the rest).
+    scheduled: tuple[int, ...] = ()
     quarantined_shards: tuple[int, ...] = ()
     quarantined_labels: tuple[str, ...] = ()
     report: OrchestrationReport | None = None
@@ -297,6 +314,18 @@ class PartialCampaignResult(ParallelCampaignResult):
     @property
     def complete(self) -> bool:
         return not self.quarantined_shards
+
+    def coverage_dicts(self) -> dict[str, list[dict]]:
+        """Scenario label -> coverage dict list (comparison helper)."""
+        return {
+            label: outcome.coverages
+            for label, outcome in sorted(self.outcomes.items())
+        }
+
+
+#: Former name of the supervised campaign result; every campaign now
+#: returns :class:`ParallelCampaignResult`.
+PartialCampaignResult = ParallelCampaignResult
 
 
 @dataclass(frozen=True)
@@ -320,8 +349,97 @@ class OrchestratedSimResult:
 
 
 # ----------------------------------------------------------------------
-# The supervised scheduler itself.
+# Shard bodies: what one dispatched shard runs, in a worker or inline.
 # ----------------------------------------------------------------------
+
+def _simulate_shard(
+    kind: str,
+    netlist,
+    patterns,
+    shard: list,
+    engine: str,
+    dropped_ids: list[str] | None,
+    chaos,
+    shard_index: int,
+    attempt: int,
+    in_process: bool,
+):
+    """Grade one fault shard serially.
+
+    ``dropped_ids`` carries the caller's :class:`DropSet` content into
+    the worker; the returned third element lists the shard's *new*
+    detections (sorted) so the parent can merge them back.  Because
+    faults are sharded by the same ``stable_id`` the drop set is keyed
+    on, a fault's drop state never crosses shards — any geometry drops
+    exactly like the serial path.
+
+    ``chaos`` (a :class:`~repro.faults.chaos.ChaosPolicy`, supervised
+    runs only) fires a deterministic injected failure at shard entry
+    when its directive matches this (shard, attempt) pair;
+    ``in_process`` downgrades process-level misbehaviour when the shard
+    runs in the calling process.
+    """
+    if chaos is not None:
+        chaos.fire(shard_index, attempt, in_process=in_process)
+    start = time.perf_counter()
+    dropped = DropSet(dropped_ids) if dropped_ids is not None else None
+    grade = fault_simulate if kind == "stuckat" else transition_fault_simulate
+    result = grade(netlist, patterns, shard, engine=engine, dropped=dropped)
+    new_ids = (
+        sorted(dropped.detected.difference(dropped_ids))
+        if dropped is not None
+        else []
+    )
+    return result.to_dict(), time.perf_counter() - start, new_ids
+
+
+def _campaign_shard_worker(spec: dict):
+    """Run one scenario shard to completion.
+
+    Rebuilds the program builders from the provider, then delegates to
+    the serial supervised campaign with the shard's own checkpoint file
+    — the same code path, the same checkpoint format, just a smaller
+    scenario list.
+    """
+    start = time.perf_counter()
+    chaos = spec["chaos"]
+    on_scenario = None
+    if chaos is not None:
+        index, attempt, in_process = (
+            spec["index"], spec["attempt"], spec["in_process"]
+        )
+        chaos.fire(index, attempt, in_process=in_process)
+        on_scenario = chaos.progress_hook(index, attempt, in_process=in_process)
+    outcomes = run_checkpointed_campaign(
+        spec["provider"](),
+        spec["scenarios"],
+        spec["models"],
+        spec["checkpoint_path"],
+        modules=spec["modules"],
+        max_cycles=spec["max_cycles"],
+        retries=spec["retries"],
+        audit=spec["audit"],
+        on_scenario=on_scenario,
+        engine=spec["engine"],
+    )
+    return (
+        spec["index"],
+        {label: outcome.to_dict() for label, outcome in outcomes.items()},
+        time.perf_counter() - start,
+    )
+
+
+# ----------------------------------------------------------------------
+# The dispatch loop itself.
+# ----------------------------------------------------------------------
+
+def _pool_context():
+    """Prefer fork (cheap, inherits loaded modules) where available."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX hosts
+        return multiprocessing.get_context()
+
 
 class _ShardState:
     __slots__ = ("index", "failures", "done", "quarantined", "ready_at", "suspect")
@@ -342,19 +460,22 @@ def _supervise(
     submit,
     run_inline,
     workers: int,
-    policy: RetryPolicy,
+    policy: RetryPolicy | None,
     telemetry,
     report: OrchestrationReport,
     on_complete,
 ) -> None:
-    """Run every shard in ``indices`` to done-or-quarantined.
+    """Run every shard in ``indices`` to done (or quarantined).
 
     ``submit(pool, index, attempt)`` dispatches one shard attempt into
-    the pool; ``run_inline(index, attempt)`` is the in-process fallback
-    for degraded mode; ``on_complete(index, raw)`` receives each shard's
-    raw worker return exactly once.  The caller merges results in shard
-    order afterwards, so completion order — the one thing chaos *does*
-    perturb — never reaches a result.
+    the pool; ``run_inline(index, attempt)`` runs it in this process —
+    the whole run when ``workers == 1`` and ``policy`` is None, and the
+    supervised run's degraded endgame; ``on_complete(index, raw)``
+    receives each shard's raw return exactly once.  Without a policy the
+    first shard exception propagates unchanged (after the pool is torn
+    down).  The caller merges results in shard order afterwards, so
+    completion order — the one thing chaos *does* perturb — never
+    reaches a result.
     """
     states = {index: _ShardState(index) for index in indices}
     if not states:
@@ -365,7 +486,10 @@ def _supervise(
     in_flight: dict = {}
     #: Future -> monotonic() when first observed running (deadline base).
     running_since: dict = {}
-    degraded = False
+    #: Shards run in this process: the unsupervised workers=1 path from
+    #: the start, or a supervised run degraded after too many rebuilds.
+    serial = policy is None and workers == 1
+    timeout = policy.shard_timeout if policy is not None else None
 
     def incomplete():
         return [
@@ -402,7 +526,7 @@ def _supervise(
         pool = None
 
     def rebuild_pool(reason: str):
-        nonlocal degraded
+        nonlocal serial
         kill_pool()
         report.pool_rebuilds += 1
         if sink.enabled:
@@ -412,7 +536,7 @@ def _supervise(
                 rebuilds=report.pool_rebuilds,
             )
         if report.pool_rebuilds > policy.max_pool_rebuilds:
-            degraded = True
+            serial = True
             report.degraded_serial = True
         else:
             new_pool()
@@ -485,6 +609,8 @@ def _supervise(
         try:
             future = submit(pool, state.index, attempt)
         except Exception:
+            if policy is None:
+                raise
             # The pool died between our last look and this submit; the
             # guilty party is someone already in flight, not this shard.
             for flying_state, _, _, _ in in_flight.values():
@@ -497,10 +623,10 @@ def _supervise(
         in_flight[future] = (state, attempt, time.monotonic(), isolated)
         return True
 
-    def run_degraded():
-        # In-process serial endgame: no pool to break, no deadline to
-        # enforce (a blocking call cannot be preempted from within);
-        # retry/backoff/quarantine semantics are unchanged and chaos
+    def run_serial():
+        # In-process: no pool to break, no deadline to enforce (a
+        # blocking call cannot be preempted from within); a supervised
+        # run keeps its retry/backoff/quarantine semantics and chaos
         # downgrades process misbehaviour to raised exceptions.
         for state in sorted(incomplete(), key=lambda s: s.index):
             while not state.done and not state.quarantined:
@@ -512,6 +638,8 @@ def _supervise(
                 try:
                     raw = run_inline(state.index, attempt)
                 except Exception as exc:
+                    if policy is None:
+                        raise
                     record_failure(
                         state,
                         "error",
@@ -525,14 +653,15 @@ def _supervise(
                         in_process=True,
                     )
 
-    new_pool()
+    if not serial:
+        new_pool()
     try:
         while True:
             remaining = incomplete()
             if not remaining:
                 break
-            if degraded:
-                run_degraded()
+            if serial:
+                run_serial()
                 break
             now = time.monotonic()
             flying = {state.index for state, _, _, _ in in_flight.values()}
@@ -584,7 +713,7 @@ def _supervise(
                 continue
             done, _ = wait(
                 set(in_flight),
-                timeout=policy.poll_interval,
+                timeout=policy.poll_interval if policy is not None else None,
                 return_when=FIRST_COMPLETED,
             )
             now = time.monotonic()
@@ -595,6 +724,8 @@ def _supervise(
                 try:
                     raw = future.result()
                 except BrokenProcessPool as exc:
+                    if policy is None:
+                        raise
                     if isolated:
                         # Alone in the pool: the break is this shard's.
                         record_failure(
@@ -608,6 +739,8 @@ def _supervise(
                         state.suspect = True
                         broken = True
                 except Exception as exc:
+                    if policy is None:
+                        raise
                     # Ordinary failure: the pool survived, so the blame
                     # is precise and the shard is no longer a suspect
                     # for *pool* crimes — but it burned an attempt.
@@ -631,7 +764,7 @@ def _supervise(
             # Straggler detection: deadlines accrue only while the
             # future is actually *running* — a shard queued behind a
             # busy pool is patient, not hung.
-            if policy.shard_timeout is not None and in_flight:
+            if timeout is not None and in_flight:
                 for future in in_flight:
                     if future not in running_since and future.running():
                         running_since[future] = now
@@ -639,23 +772,22 @@ def _supervise(
                     (future, state)
                     for future, (state, _, _, _) in in_flight.items()
                     if future in running_since
-                    and now - running_since[future] > policy.shard_timeout
+                    and now - running_since[future] > timeout
                 ]
                 if overdue:
                     report.stragglers += len(overdue)
-                    overdue_states = {state.index for _, state in overdue}
                     for future, state in overdue:
                         if sink.enabled:
                             sink.emit(
                                 EventKind.SHARD_STRAGGLER,
                                 shard=state.index,
                                 seconds=now - running_since[future],
-                                deadline=policy.shard_timeout,
+                                deadline=timeout,
                             )
                         record_failure(
                             state,
                             "timeout",
-                            f"exceeded {policy.shard_timeout}s shard deadline",
+                            f"exceeded {timeout}s shard deadline",
                             now - running_since[future],
                         )
                     # The only way to stop a running future is to kill
@@ -667,6 +799,21 @@ def _supervise(
     finally:
         kill_pool()
     report.quarantined.sort()
+
+
+def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> None:
+    if metrics is None:
+        return
+    for timing in timings:
+        metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
+        metrics.record_host(
+            f"{prefix}.shard{timing.index}.us", int(timing.seconds * 1e6)
+        )
+    metrics.record_host(f"{prefix}.shards", len(timings))
+    metrics.record_host(f"{prefix}.items", sum(t.items for t in timings))
+    metrics.record_host(
+        f"{prefix}.us", int(sum(t.seconds for t in timings) * 1e6)
+    )
 
 
 def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
@@ -688,7 +835,7 @@ def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# Supervised sharded fault simulation (stuck-at / transition models).
+# Sharded fault simulation (stuck-at / transition models).
 # ----------------------------------------------------------------------
 
 def _weighted_count(shard) -> int:
@@ -705,18 +852,22 @@ def _orchestrated_simulate(
     faults: list,
     workers: int,
     num_shards: int | None,
-    policy: RetryPolicy,
+    policy: RetryPolicy | None,
     chaos,
     telemetry,
     metrics,
     engine: str,
     dropped: DropSet | None,
 ) -> OrchestratedSimResult:
-    shards = shard_faults(faults, num_shards or max(1, workers))
+    if workers < 1:
+        raise FaultModelError(f"workers must be >= 1, got {workers}")
+    shards = shard_faults(faults, num_shards or workers)
     check_partition(faults, shards)
     dropped_ids = dropped.sorted_ids() if dropped is not None else None
     report = OrchestrationReport(
-        num_shards=len(shards), workers=workers, policy=policy.to_dict()
+        num_shards=len(shards),
+        workers=workers,
+        policy=policy.to_dict() if policy is not None else {},
     )
     raw_results: dict[int, tuple] = {}
 
@@ -732,12 +883,9 @@ def _orchestrated_simulate(
             chaos, index, attempt, True,
         )
 
-    def on_complete(index, raw):
-        raw_results[index] = raw
-
     _supervise(
         range(len(shards)), submit, run_inline, workers, policy,
-        telemetry, report, on_complete,
+        telemetry, report, raw_results.__setitem__,
     )
 
     quarantined = tuple(report.quarantined)
@@ -781,13 +929,71 @@ def _orchestrated_simulate(
             )
         )
     _record_shard_metrics(metrics, f"faultsim.{kind}", timings)
-    _record_orchestrator_metrics(metrics, report)
+    if policy is not None:
+        _record_orchestrator_metrics(metrics, report)
     return OrchestratedSimResult(
         result=merged,
         report=report,
         quarantined_shards=quarantined,
         quarantined_faults=quarantined_faults,
     )
+
+
+def parallel_fault_simulate(
+    netlist,
+    patterns,
+    faults=None,
+    *,
+    workers: int = 1,
+    num_shards: int | None = None,
+    metrics=None,
+    engine: str = "compiled",
+    dropped: DropSet | None = None,
+) -> FaultSimResult:
+    """Sharded :func:`repro.faults.ppsfp.fault_simulate`.
+
+    Accepts plain or weighted fault lists exactly like the serial
+    engine.  The list is split into ``num_shards`` deterministic shards
+    (default: one per worker), graded in this process at ``workers=1``
+    and over a process pool otherwise, and merged with
+    :func:`~repro.faults.parallel.reduce_results` — the totals are
+    bit-identical for every geometry.  ``metrics`` (a
+    :class:`repro.telemetry.MetricsCollector`) receives per-shard
+    timing/throughput host counters when given.  ``engine`` and
+    ``dropped`` pass through to the serial grader in every shard; new
+    drop-set detections are merged back after the last shard completes.
+    """
+    if faults is None:
+        faults = collapse_with_weights(netlist)
+    return _orchestrated_simulate(
+        "stuckat", netlist, patterns, list(faults), workers, num_shards,
+        None, None, None, metrics, engine, dropped,
+    ).result
+
+
+def parallel_transition_fault_simulate(
+    netlist,
+    patterns,
+    faults=None,
+    *,
+    workers: int = 1,
+    num_shards: int | None = None,
+    metrics=None,
+    engine: str = "compiled",
+    dropped: DropSet | None = None,
+) -> FaultSimResult:
+    """Sharded :func:`repro.faults.transition.transition_fault_simulate`.
+
+    The pattern set must be *ordered* (see the serial engine); sharding
+    happens over faults, never over patterns, so launch/capture
+    adjacency is preserved inside every shard.
+    """
+    if faults is None:
+        faults = enumerate_transition_faults(netlist)
+    return _orchestrated_simulate(
+        "transition", netlist, patterns, list(faults), workers, num_shards,
+        None, None, None, metrics, engine, dropped,
+    ).result
 
 
 def orchestrated_fault_simulate(
@@ -804,15 +1010,14 @@ def orchestrated_fault_simulate(
     engine: str = "compiled",
     dropped: DropSet | None = None,
 ) -> OrchestratedSimResult:
-    """Supervised :func:`repro.faults.parallel.parallel_fault_simulate`.
+    """Supervised :func:`parallel_fault_simulate`.
 
     Same sharding, same merge, same bit-identical totals — plus the
     retry/rebuild/straggler/quarantine supervision documented on this
-    module.  ``workers=1`` still runs through a (single-worker) pool so
-    a crashing shard is recoverable rather than fatal.
+    module (``policy`` defaults to :class:`RetryPolicy`).  ``workers=1``
+    still runs through a (single-worker) pool so a crashing shard is
+    recoverable rather than fatal.
     """
-    from repro.faults.stuckat import collapse_with_weights
-
     if faults is None:
         faults = collapse_with_weights(netlist)
     return _orchestrated_simulate(
@@ -821,36 +1026,11 @@ def orchestrated_fault_simulate(
     )
 
 
-def orchestrated_transition_fault_simulate(
-    netlist,
-    patterns,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    policy: RetryPolicy | None = None,
-    chaos=None,
-    telemetry=None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> OrchestratedSimResult:
-    """Supervised transition-delay variant (ordered pattern sets)."""
-    from repro.faults.transition import enumerate_transition_faults
-
-    if faults is None:
-        faults = enumerate_transition_faults(netlist)
-    return _orchestrated_simulate(
-        "transition", netlist, patterns, list(faults), workers, num_shards,
-        policy or RetryPolicy(), chaos, telemetry, metrics, engine, dropped,
-    )
-
-
 # ----------------------------------------------------------------------
-# Supervised checkpointed campaigns.
+# Sharded checkpointed campaigns.
 # ----------------------------------------------------------------------
 
-def run_supervised_campaign(
+def run_parallel_checkpointed_campaign(
     builders_provider,
     scenarios,
     models,
@@ -868,48 +1048,87 @@ def run_supervised_campaign(
     policy: RetryPolicy | None = None,
     chaos=None,
     telemetry=None,
-) -> PartialCampaignResult:
-    """Supervised :func:`repro.faults.parallel.run_parallel_checkpointed_campaign`.
+) -> ParallelCampaignResult:
+    """Sharded :func:`~repro.faults.campaign.run_checkpointed_campaign`.
 
-    Rides the same manifest/per-shard-checkpoint machinery (and the same
-    resume semantics, any worker count), but every shard runs under the
-    :class:`RetryPolicy` budget: failures retry with deterministic
-    backoff, a broken pool is rebuilt with isolation-mode blame
-    attribution, a hung shard is re-dispatched after ``shard_timeout``,
-    and persistent failure quarantines the shard.  Because shard
-    checkpoints commit scenario-by-scenario, a retried shard resumes
-    mid-shard and never re-grades (or double-counts) a recorded
-    scenario — which is why a chaos run merges bit-identically to a
-    clean one.
+    ``builders_provider`` is a zero-argument *picklable* callable (a
+    module-level function or :func:`functools.partial` of one) returning
+    the core-id -> program-builder dict; it is invoked once per shard,
+    inside the worker, so closures never cross the process boundary.
+    Scenarios are partitioned into ``num_shards`` deterministic shards
+    (stable hash of the scenario label; default
+    ``min(len(scenarios), 4 * workers)``) and each shard runs the
+    ordinary serial supervised campaign against its own checkpoint file
+    under ``checkpoint_dir``.
 
-    The :class:`OrchestrationReport` is written to
-    ``<checkpoint_dir>/orchestration_report.json`` in every case,
-    including the failure path.  With quarantined shards the function
-    raises :class:`~repro.errors.OrchestrationError` unless
-    ``policy.allow_partial``; with ``allow_partial`` it returns a
-    :class:`PartialCampaignResult` whose quarantine roster makes the
-    campaign's loss explicit.
+    The shard layout is pinned in ``manifest.json`` on first run;
+    resuming re-validates the manifest (modules, scenario set), loads
+    every shard checkpoint, and re-schedules **only incomplete
+    shards** — with any worker count, which is why a campaign started
+    with N workers can be finished with M.  Scenario outcomes are
+    deterministic per scenario (fresh SoC, no cross-scenario state), so
+    the merged result is bit-identical for every (workers, num_shards)
+    geometry.
+
+    Dispatch follows the module's rule: in this process at
+    ``workers=1`` without a policy, over a process pool otherwise.
+    ``on_shard(index, outcomes)`` fires in the parent as each shard
+    completes (kill-injection hook); ``metrics`` receives per-shard
+    timing/throughput host counters.  ``engine`` selects the
+    fault-simulation kernel inside every shard (results are
+    bit-identical across engines, so resuming with a different engine
+    is legal).
+
+    Without ``policy`` the first shard exception propagates unchanged;
+    every scenario a shard checkpointed before it failed stays on disk
+    for the resume.  With a :class:`RetryPolicy` shard failures are
+    retried with deterministic backoff, a broken pool is rebuilt with
+    isolation-mode blame attribution, a hung shard is re-dispatched
+    after ``shard_timeout``, and persistent failure quarantines the
+    shard.  Because shard checkpoints commit scenario-by-scenario, a
+    retried shard resumes mid-shard and never re-grades (or
+    double-counts) a recorded scenario.  The :class:`OrchestrationReport`
+    is then written to ``<checkpoint_dir>/orchestration_report.json``
+    in every case, including the failure path; quarantined shards raise
+    :class:`~repro.errors.OrchestrationError` unless
+    ``policy.allow_partial``, in which case the result's quarantine
+    roster makes the loss explicit.  ``chaos`` (failure injection for
+    tests) and ``telemetry`` (event sink for ``shard.retry``/
+    ``pool.rebuild``/... events) require a policy.
     """
-    policy = policy or RetryPolicy()
+    if policy is None and (chaos is not None or telemetry is not None):
+        raise CheckpointError(
+            "chaos/telemetry require a RetryPolicy (the supervised path); "
+            "an unsupervised campaign has no failure handling to observe"
+        )
     scenarios = tuple(scenarios)
     directory, plan, labels, shard_scenarios, completed, scheduled = (
         _prepare_campaign(scenarios, modules, checkpoint_dir, workers, num_shards)
     )
     report = OrchestrationReport(
-        num_shards=plan.num_shards, workers=workers, policy=policy.to_dict()
+        num_shards=plan.num_shards,
+        workers=workers,
+        policy=policy.to_dict() if policy is not None else {},
     )
     timings: list[ShardTiming] = []
 
     def spec_for(index: int, attempt: int, in_process: bool) -> dict:
-        spec = _shard_spec(
-            index, directory, plan, builders_provider, shard_scenarios,
-            models, modules, max_cycles, retries, audit, engine,
-        )
-        spec["attempt"] = attempt
-        spec["in_process"] = in_process
-        if chaos is not None:
-            spec["chaos"] = chaos
-        return spec
+        """The picklable work order for one shard attempt."""
+        return {
+            "index": index,
+            "attempt": attempt,
+            "in_process": in_process,
+            "chaos": chaos,
+            "provider": builders_provider,
+            "scenarios": shard_scenarios[index],
+            "models": models,
+            "checkpoint_path": str(directory / plan.checkpoint_name(index)),
+            "modules": tuple(modules),
+            "max_cycles": max_cycles,
+            "retries": retries,
+            "audit": audit,
+            "engine": engine,
+        }
 
     def submit(pool, index, attempt):
         return pool.submit(
@@ -948,11 +1167,12 @@ def run_supervised_campaign(
     )
     timings.sort(key=lambda t: t.index)
     _record_shard_metrics(metrics, "faultsim.campaign", timings)
-    _record_orchestrator_metrics(metrics, report)
     if metrics is not None:
         metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
         metrics.record_host("faultsim.campaign.workers", workers)
-    report.save(directory / ORCHESTRATION_REPORT_NAME)
+    if policy is not None:
+        _record_orchestrator_metrics(metrics, report)
+        report.save(directory / ORCHESTRATION_REPORT_NAME)
     if quarantined_shards and not policy.allow_partial:
         raise OrchestrationError(
             f"campaign quarantined shard(s) {list(quarantined_shards)} "
@@ -960,10 +1180,12 @@ def run_supervised_campaign(
             f"{directory / ORCHESTRATION_REPORT_NAME} "
             "(pass allow_partial=True to accept a partial campaign)"
         )
+    # Present outcomes in the caller's scenario order, like the serial
+    # campaign's insertion-ordered checkpoint dict.
     ordered = _merge_campaign_outcomes(
         labels, completed, missing_ok=quarantined_labels
     )
-    return PartialCampaignResult(
+    return ParallelCampaignResult(
         outcomes=ordered,
         shard_timings=timings,
         num_shards=plan.num_shards,
@@ -971,5 +1193,5 @@ def run_supervised_campaign(
         scheduled=tuple(scheduled),
         quarantined_shards=quarantined_shards,
         quarantined_labels=quarantined_labels,
-        report=report,
+        report=report if policy is not None else None,
     )

@@ -1,12 +1,12 @@
-"""Sharded, multi-process fault simulation with deterministic merging.
+"""Deterministic sharding, merging and manifest primitives.
 
 The serial graders in :mod:`repro.faults.ppsfp` /
 :mod:`repro.faults.transition` simulate one fault at a time against a
 fixed pattern set, and :func:`repro.faults.campaign.run_checkpointed_campaign`
-runs one scenario at a time — both embarrassingly parallel, and both on
-the critical path of every Table II/III reproduction.  This module
-fans the work out over a process pool without changing a single
-reported number:
+runs one scenario at a time — both embarrassingly parallel.  This module
+holds the pure pieces that let :mod:`repro.faults.orchestrator` (the one
+loop that dispatches shards) split that work and put it back together
+without changing a single reported number:
 
 * **Deterministic sharding.**  Faults are assigned to shards by a
   *stable* hash of their identity (:func:`stable_shard_index`, CRC-32 of
@@ -14,33 +14,25 @@ reported number:
   same hash of their label.  The shard layout depends only on the work
   items and the shard count, never on the worker count, host, or
   process — so any pool geometry reproduces the same partition.
-* **Explicit per-shard seeds.**  :func:`shard_seed` derives a stable
-  64-bit seed per (base seed, shard index) for any stochastic component
-  a shard may host (randomised property tests, sampled campaigns); the
-  built-in fault models are deterministic and ignore it.
 * **Order-independent merging.**  Shard results are combined with an
   associativity-checked reducer (:func:`reduce_results`): detection of
   each fault is independent under single-fault assumption, so per-shard
   ``detected``/``total`` counts add exactly, and the reducer verifies
   that a left fold and a balanced tree fold agree before trusting the
-  sum.  ``workers=1`` bypasses the pool entirely and is the exact
-  serial code path.
-
-The campaign variant writes one :class:`~repro.faults.campaign.CampaignCheckpoint`
-per shard plus a manifest pinning the shard layout, so a killed
-campaign resumes by re-scheduling only incomplete shards — with any
-worker count, not just the one it started with.
+  sum.
+* **Pinned campaign layout.**  A sharded campaign writes one
+  :class:`~repro.faults.campaign.CampaignCheckpoint` per shard plus a
+  manifest pinning the shard layout (:class:`CampaignShardPlan`), so a
+  killed campaign resumes by re-scheduling only incomplete shards —
+  with any worker count, not just the one it started with.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 import zlib
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from hashlib import blake2b
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CheckpointError, FaultModelError
@@ -51,26 +43,18 @@ from repro.faults.campaign import (
     content_digest,
     merge_outcome_maps,
     quarantine_corrupt_file,
-    run_checkpointed_campaign,
     verify_payload,
 )
-from repro.faults.netlist import Netlist
-from repro.faults.ppsfp import DropSet, FaultSimResult, PatternSet, fault_simulate
-from repro.faults.transition import transition_fault_simulate
+from repro.faults.ppsfp import FaultSimResult
 
 __all__ = [
     "CampaignShardPlan",
-    "ParallelCampaignResult",
     "ShardTiming",
     "check_partition",
-    "parallel_fault_simulate",
-    "parallel_transition_fault_simulate",
     "plan_campaign_shards",
     "reduce_results",
     "resolve_workers",
-    "run_parallel_checkpointed_campaign",
     "shard_faults",
-    "shard_seed",
     "stable_shard_index",
 ]
 
@@ -123,14 +107,6 @@ def stable_shard_index(identity: str, num_shards: int) -> int:
     if num_shards < 1:
         raise FaultModelError(f"num_shards must be >= 1, got {num_shards}")
     return zlib.crc32(identity.encode("utf-8")) % num_shards
-
-
-def shard_seed(base_seed: int, shard_index: int) -> int:
-    """Explicit per-shard RNG seed (stable 64-bit blake2b derivation)."""
-    digest = blake2b(
-        f"{base_seed}:{shard_index}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
 
 
 def shard_faults(faults: list, num_shards: int) -> list[list]:
@@ -214,10 +190,6 @@ def _tree_reduce(results: list[FaultSimResult]) -> FaultSimResult:
     return level[0]
 
 
-# ----------------------------------------------------------------------
-# Parallel fault simulation (stuck-at / PPSFP and transition models).
-# ----------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class ShardTiming:
     """Wall-clock and volume of one completed shard."""
@@ -234,206 +206,8 @@ class ShardTiming:
         return self.items / self.seconds
 
 
-def _simulate_shard(
-    kind: str,
-    netlist: Netlist,
-    patterns: PatternSet,
-    shard: list,
-    engine: str = "compiled",
-    dropped_ids: list[str] | None = None,
-    chaos=None,
-    shard_index: int = 0,
-    attempt: int = 1,
-    in_process: bool = False,
-):
-    """Process-pool entry point: grade one fault shard serially.
-
-    ``dropped_ids`` carries the caller's :class:`DropSet` content into
-    the worker; the returned third element lists the shard's *new*
-    detections (sorted) so the parent can merge them back.  Because
-    faults are sharded by the same ``stable_id`` the drop set is keyed
-    on, a fault's drop state never crosses shards — any geometry drops
-    exactly like the serial path.
-
-    ``chaos``/``shard_index``/``attempt`` belong to the supervised
-    orchestrator: the :class:`~repro.faults.chaos.ChaosPolicy` fires a
-    deterministic injected failure at shard entry when its directive
-    matches this (shard, attempt) pair, and ``in_process`` downgrades
-    process-level misbehaviour when the orchestrator has degraded to
-    serial execution.
-    """
-    if chaos is not None:
-        chaos.fire(shard_index, attempt, in_process=in_process)
-    start = time.perf_counter()
-    dropped = DropSet(dropped_ids) if dropped_ids is not None else None
-    if kind == "stuckat":
-        result = fault_simulate(
-            netlist, patterns, shard, engine=engine, dropped=dropped
-        )
-    elif kind == "transition":
-        result = transition_fault_simulate(
-            netlist, patterns, shard, engine=engine, dropped=dropped
-        )
-    else:  # pragma: no cover - guarded by the public wrappers
-        raise FaultModelError(f"unknown fault model kind {kind!r}")
-    new_ids = (
-        sorted(dropped.detected.difference(dropped_ids))
-        if dropped is not None
-        else []
-    )
-    return result.to_dict(), time.perf_counter() - start, new_ids
-
-
-def _parallel_simulate(
-    kind: str,
-    serial,
-    netlist: Netlist,
-    patterns: PatternSet,
-    faults: list,
-    workers: int,
-    num_shards: int | None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    if workers < 1:
-        raise FaultModelError(f"workers must be >= 1, got {workers}")
-    if workers == 1 and num_shards is None:
-        # The exact serial path: same function, same iteration order.
-        return serial(netlist, patterns, faults, engine=engine, dropped=dropped)
-    shards = shard_faults(faults, num_shards or workers)
-    check_partition(faults, shards)
-    dropped_ids = dropped.sorted_ids() if dropped is not None else None
-    timings: list[ShardTiming] = []
-    if workers == 1:
-        raw = [
-            _simulate_shard(kind, netlist, patterns, shard, engine, dropped_ids)
-            for shard in shards
-        ]
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(shards)), mp_context=_pool_context()
-        )
-        try:
-            futures = [
-                pool.submit(
-                    _simulate_shard, kind, netlist, patterns, shard,
-                    engine, dropped_ids,
-                )
-                for shard in shards
-            ]
-            raw = [future.result() for future in futures]
-        except BaseException:
-            # A failing shard must not leave the rest of the pool
-            # grinding through compiled-netlist shards nobody will
-            # read: drop queued work and return without waiting for
-            # in-flight shards (their processes exit once the queue is
-            # drained).
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-    results = []
-    for index, (result_dict, seconds, new_ids) in enumerate(raw):
-        results.append(FaultSimResult.from_dict(result_dict))
-        if dropped is not None:
-            dropped.update(new_ids)
-        timings.append(
-            ShardTiming(index=index, items=len(shards[index]), seconds=seconds)
-        )
-    _record_shard_metrics(metrics, f"faultsim.{kind}", timings)
-    merged = reduce_results(results)
-    # Empty shards contribute (0, 0); totals must match the serial sum.
-    return merged
-
-
-def parallel_fault_simulate(
-    netlist: Netlist,
-    patterns: PatternSet,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.ppsfp.fault_simulate`.
-
-    Accepts plain or weighted fault lists exactly like the serial
-    engine.  ``workers=1`` with the default shard count IS the serial
-    engine; any other geometry shards the list deterministically, fans
-    shards over a process pool and merges with
-    :func:`reduce_results` — the totals are bit-identical either way.
-    ``metrics`` (a :class:`repro.telemetry.MetricsCollector`) receives
-    per-shard timing/throughput host counters when given.  ``engine``
-    and ``dropped`` pass through to the serial grader in every shard;
-    new drop-set detections are merged back after the pool completes.
-    """
-    from repro.faults.stuckat import collapse_with_weights
-
-    if faults is None:
-        faults = collapse_with_weights(netlist)
-    return _parallel_simulate(
-        "stuckat", fault_simulate, netlist, patterns, list(faults),
-        workers, num_shards, metrics, engine, dropped,
-    )
-
-
-def parallel_transition_fault_simulate(
-    netlist: Netlist,
-    patterns: PatternSet,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.transition.transition_fault_simulate`.
-
-    The pattern set must be *ordered* (see the serial engine); sharding
-    happens over faults, never over patterns, so launch/capture
-    adjacency is preserved inside every shard.
-    """
-    from repro.faults.transition import enumerate_transition_faults
-
-    if faults is None:
-        faults = enumerate_transition_faults(netlist)
-    return _parallel_simulate(
-        "transition", transition_fault_simulate, netlist, patterns,
-        list(faults), workers, num_shards, metrics, engine, dropped,
-    )
-
-
-def _pool_context():
-    """Prefer fork (cheap, inherits loaded modules) where available."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
-        return multiprocessing.get_context()
-
-
-def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> None:
-    if metrics is None:
-        return
-    for timing in timings:
-        metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
-        metrics.record_host(
-            f"{prefix}.shard{timing.index}.us", int(timing.seconds * 1e6)
-        )
-    metrics.record_host(f"{prefix}.shards", len(timings))
-    metrics.record_host(f"{prefix}.items", sum(t.items for t in timings))
-    metrics.record_host(
-        f"{prefix}.us", int(sum(t.seconds for t in timings) * 1e6)
-    )
-
-
 # ----------------------------------------------------------------------
-# Parallel checkpointed coverage campaigns.
+# Sharded checkpointed coverage campaigns: layout, resume, merge.
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -480,63 +254,6 @@ def plan_campaign_shards(
         num_shards=num_shards,
         modules=tuple(modules),
         labels=tuple(tuple(shard) for shard in labels),
-    )
-
-
-@dataclass
-class ParallelCampaignResult:
-    """Merged outcomes plus the run's shard-level accounting."""
-
-    outcomes: dict[str, ScenarioOutcome]
-    shard_timings: list[ShardTiming] = field(default_factory=list)
-    num_shards: int = 1
-    workers: int = 1
-    #: Shard indices actually executed this run (resume skips the rest).
-    scheduled: tuple[int, ...] = ()
-
-    def coverage_dicts(self) -> dict[str, list[dict]]:
-        """Scenario label -> coverage dict list (comparison helper)."""
-        return {
-            label: outcome.coverages
-            for label, outcome in sorted(self.outcomes.items())
-        }
-
-
-def _campaign_shard_worker(spec: dict):
-    """Process-pool entry point: run one scenario shard to completion.
-
-    Rebuilds the program builders from the picklable provider, then
-    delegates to the serial supervised campaign with the shard's own
-    checkpoint file — the same code path, the same checkpoint format,
-    just a smaller scenario list.
-    """
-    start = time.perf_counter()
-    chaos = spec.get("chaos")
-    attempt = spec.get("attempt", 1)
-    in_process = spec.get("in_process", False)
-    on_scenario = None
-    if chaos is not None:
-        chaos.fire(spec["index"], attempt, in_process=in_process)
-        on_scenario = chaos.progress_hook(
-            spec["index"], attempt, in_process=in_process
-        )
-    builders = spec["provider"]()
-    outcomes = run_checkpointed_campaign(
-        builders,
-        spec["scenarios"],
-        spec["models"],
-        spec["checkpoint_path"],
-        modules=spec["modules"],
-        max_cycles=spec["max_cycles"],
-        retries=spec["retries"],
-        audit=spec["audit"],
-        on_scenario=on_scenario,
-        engine=spec.get("engine", "compiled"),
-    )
-    return (
-        spec["index"],
-        {label: outcome.to_dict() for label, outcome in outcomes.items()},
-        time.perf_counter() - start,
     )
 
 
@@ -588,8 +305,6 @@ def _prepare_campaign(
 ):
     """Validate, pin/load the manifest, and scan shard checkpoints.
 
-    Shared between the plain parallel campaign and the supervised
-    orchestrator so both resume from exactly the same on-disk state.
     Returns ``(directory, plan, labels, shard_scenarios, completed,
     scheduled)`` where ``completed`` maps already-finished shard indices
     to their outcome maps and ``scheduled`` lists the shard indices
@@ -657,34 +372,6 @@ def _prepare_campaign(
     return directory, plan, labels, shard_scenarios, completed, scheduled
 
 
-def _shard_spec(
-    index: int,
-    directory: Path,
-    plan: CampaignShardPlan,
-    builders_provider,
-    shard_scenarios,
-    models,
-    modules: tuple[str, ...],
-    max_cycles: int,
-    retries: int,
-    audit: bool,
-    engine: str,
-) -> dict:
-    """The picklable work order for one campaign shard."""
-    return {
-        "index": index,
-        "provider": builders_provider,
-        "scenarios": shard_scenarios[index],
-        "models": models,
-        "checkpoint_path": str(directory / plan.checkpoint_name(index)),
-        "modules": tuple(modules),
-        "max_cycles": max_cycles,
-        "retries": retries,
-        "audit": audit,
-        "engine": engine,
-    }
-
-
 def _merge_campaign_outcomes(
     labels, completed, *, missing_ok=()
 ) -> dict[str, ScenarioOutcome]:
@@ -705,164 +392,3 @@ def _merge_campaign_outcomes(
             f"campaign finished with unaccounted scenarios {missing[:5]}"
         )
     return {label: merged[label] for label in labels if label in merged}
-
-
-def run_parallel_checkpointed_campaign(
-    builders_provider,
-    scenarios,
-    models,
-    checkpoint_dir: str | Path,
-    modules: tuple[str, ...] = ("FWD",),
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    max_cycles: int = 4_000_000,
-    retries: int = 1,
-    audit: bool = False,
-    metrics=None,
-    on_shard=None,
-    engine: str = "compiled",
-    policy=None,
-    chaos=None,
-    telemetry=None,
-) -> ParallelCampaignResult:
-    """Sharded, multi-process :func:`run_checkpointed_campaign`.
-
-    ``builders_provider`` is a zero-argument *picklable* callable (a
-    module-level function or :func:`functools.partial` of one) returning
-    the core-id -> program-builder dict; it is invoked inside each
-    worker so closures never cross the process boundary.  Scenarios are
-    partitioned into ``num_shards`` deterministic shards (stable hash
-    of the scenario label; default ``min(len(scenarios), 4 * workers)``)
-    and each shard runs the ordinary serial supervised campaign against
-    its own checkpoint file under ``checkpoint_dir``.
-
-    The shard layout is pinned in ``manifest.json`` on first run;
-    resuming re-validates the manifest (modules, scenario set), loads
-    every shard checkpoint, and re-schedules **only incomplete
-    shards** — with any worker count, which is why a campaign started
-    with N workers can be finished with M.  Scenario outcomes are
-    deterministic per scenario (fresh SoC, no cross-scenario state), so
-    the merged result is bit-identical for every (workers, num_shards)
-    geometry, including the exact-serial ``workers=1`` path.
-
-    ``on_shard(index, outcomes)`` fires in the parent as each shard
-    completes (kill-injection hook); ``metrics`` receives per-shard
-    timing/throughput host counters.  ``engine`` selects the
-    fault-simulation kernel inside every worker (compiled by default;
-    results are bit-identical across engines, so resuming a campaign
-    with a different engine than it started with is legal).
-
-    ``policy`` (a :class:`repro.faults.orchestrator.RetryPolicy`)
-    switches the run onto the supervised orchestrator: shard failures
-    are retried with deterministic backoff, a broken pool is rebuilt,
-    stragglers are re-dispatched, and persistent failures quarantine the
-    shard instead of aborting — the result is then a
-    :class:`~repro.faults.orchestrator.PartialCampaignResult` (a
-    ``ParallelCampaignResult`` subtype).  ``chaos`` and ``telemetry``
-    ride along to the orchestrator (failure injection for tests, event
-    sink for ``shard.retry``/``pool.rebuild``/... events).
-    """
-    if policy is not None:
-        # The supervised path owns the whole run, including the pool.
-        from repro.faults.orchestrator import run_supervised_campaign
-
-        return run_supervised_campaign(
-            builders_provider,
-            scenarios,
-            models,
-            checkpoint_dir,
-            modules=modules,
-            workers=workers,
-            num_shards=num_shards,
-            max_cycles=max_cycles,
-            retries=retries,
-            audit=audit,
-            metrics=metrics,
-            on_shard=on_shard,
-            engine=engine,
-            policy=policy,
-            chaos=chaos,
-            telemetry=telemetry,
-        )
-    if chaos is not None or telemetry is not None:
-        raise CheckpointError(
-            "chaos/telemetry require a RetryPolicy (the supervised path); "
-            "the plain parallel campaign has no failure handling to observe"
-        )
-    scenarios = tuple(scenarios)
-    directory, plan, labels, shard_scenarios, completed, scheduled = (
-        _prepare_campaign(scenarios, modules, checkpoint_dir, workers, num_shards)
-    )
-    specs = [
-        _shard_spec(
-            index, directory, plan, builders_provider, shard_scenarios,
-            models, modules, max_cycles, retries, audit, engine,
-        )
-        for index in scheduled
-    ]
-    timings: list[ShardTiming] = []
-    if workers == 1:
-        for spec in specs:
-            index, outcomes, seconds = _campaign_shard_worker(spec)
-            completed[index] = {
-                label: ScenarioOutcome.from_dict(data)
-                for label, data in outcomes.items()
-            }
-            timings.append(
-                ShardTiming(
-                    index=index, items=len(spec["scenarios"]), seconds=seconds
-                )
-            )
-            if on_shard is not None:
-                on_shard(index, completed[index])
-    elif specs:
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(specs)), mp_context=_pool_context()
-        )
-        try:
-            futures = {
-                pool.submit(_campaign_shard_worker, spec): spec for spec in specs
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    index, outcomes, seconds = future.result()
-                    completed[index] = {
-                        label: ScenarioOutcome.from_dict(data)
-                        for label, data in outcomes.items()
-                    }
-                    timings.append(
-                        ShardTiming(
-                            index=index,
-                            items=len(futures[future]["scenarios"]),
-                            seconds=seconds,
-                        )
-                    )
-                    if on_shard is not None:
-                        on_shard(index, completed[index])
-        except BaseException:
-            # Unwind without waiting: queued shards are cancelled and
-            # the pool is released immediately so a failing campaign
-            # does not keep workers (and their compiled netlists) alive
-            # behind the raised error.
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-    timings.sort(key=lambda t: t.index)
-    _record_shard_metrics(metrics, "faultsim.campaign", timings)
-    if metrics is not None:
-        metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
-        metrics.record_host("faultsim.campaign.workers", workers)
-    # Present outcomes in the caller's scenario order, like the serial
-    # campaign's insertion-ordered checkpoint dict.
-    ordered = _merge_campaign_outcomes(labels, completed)
-    return ParallelCampaignResult(
-        outcomes=ordered,
-        shard_timings=timings,
-        num_shards=plan.num_shards,
-        workers=workers,
-        scheduled=tuple(scheduled),
-    )

@@ -1,6 +1,6 @@
 """Standard, picklable campaign workloads for the parallel engine.
 
-A :func:`repro.faults.parallel.run_parallel_checkpointed_campaign`
+A :func:`repro.faults.orchestrator.run_parallel_checkpointed_campaign`
 worker reconstructs its program builders inside the worker process, so
 the *provider* must be picklable — a module-level function or a
 :func:`functools.partial` of one, never a closure.  This module hosts

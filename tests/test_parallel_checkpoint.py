@@ -54,6 +54,14 @@ def crashy_builders(sentinel: str, crash_after: int):
     return builders
 
 
+def pid_recording_provider(path: str):
+    """``small_provider`` that appends the calling process's pid to
+    ``path`` each time a shard builds its programs."""
+    with open(path, "a") as handle:
+        handle.write(f"{os.getpid()}\n")
+    return small_provider()()
+
+
 def outcome_dicts(outcomes):
     return {label: outcome.to_dict() for label, outcome in outcomes.items()}
 
@@ -115,6 +123,44 @@ def test_killed_worker_mid_shard_resumes_without_double_count(
     # Every scenario appears exactly once — coverage totals equal the
     # uninterrupted run's, so nothing was double-counted.
     assert sorted(resumed.outcomes) == sorted(s.label for s in SCENARIOS)
+
+
+def test_unsupervised_workers_one_runs_shards_in_calling_process(
+    tmp_path, reference
+):
+    pids = tmp_path / "pids"
+    result = run_parallel_checkpointed_campaign(
+        partial(pid_recording_provider, str(pids)),
+        SCENARIOS,
+        DEFAULT_CAMPAIGN_MODELS,
+        tmp_path / "campaign",
+        modules=("FWD",),
+        workers=1,
+        num_shards=2,
+    )
+    assert pids.read_text().split() == [str(os.getpid())] * 2
+    assert outcome_dicts(result.outcomes) == reference
+
+
+def test_unsupervised_workers_one_reraises_shard_error_unchanged(tmp_path):
+    directory = tmp_path / "campaign"
+    provider = partial(crashy_builders, str(tmp_path / "sentinel"), 1)
+    with pytest.raises(RuntimeError, match="simulated worker kill") as info:
+        run_parallel_checkpointed_campaign(
+            provider,
+            SCENARIOS,
+            DEFAULT_CAMPAIGN_MODELS,
+            directory,
+            modules=("FWD",),
+            workers=1,
+            num_shards=1,
+        )
+    # The builder's own exception, raised in this process: not wrapped
+    # in an OrchestrationError, no remote traceback from a pool worker.
+    assert type(info.value) is RuntimeError
+    assert info.value.__cause__ is None
+    saved = json.loads((directory / "shard_000.json").read_text())
+    assert len(saved["scenarios"]) == 1  # the checkpointed one survives
 
 
 def test_crash_during_checkpoint_save_rolls_back(tmp_path, monkeypatch):

@@ -177,6 +177,33 @@ def test_workers_one_is_exact_serial_path(fwd_port):
     assert as_tuple(parallel) == as_tuple(serial)
 
 
+def test_unsupervised_workers_one_grades_shards_in_calling_process(
+    fwd_port, tmp_path, monkeypatch
+):
+    """No policy and ``workers=1``: every shard is graded in this
+    process (a forked pool worker would record its own pid)."""
+    import os
+
+    import repro.faults.orchestrator as orchestrator
+
+    netlist, patterns, _ = fwd_port
+    faults = enumerate_faults(netlist)[:200]
+    pids = tmp_path / "pids"
+    grade = orchestrator.fault_simulate
+
+    def recording_grade(*args, **kwargs):
+        with open(pids, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return grade(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "fault_simulate", recording_grade)
+    parallel = parallel_fault_simulate(
+        netlist, patterns, faults, workers=1, num_shards=7
+    )
+    assert pids.read_text().split() == [str(os.getpid())] * 7
+    assert as_tuple(parallel) == as_tuple(fault_simulate(netlist, patterns, faults))
+
+
 # ----------------------------------------------------------------------
 # Campaign-level equivalence: coverage dicts AND signatures.
 # ----------------------------------------------------------------------

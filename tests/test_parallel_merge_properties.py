@@ -18,7 +18,6 @@ from repro.faults import (
     check_partition,
     reduce_results,
     shard_faults,
-    shard_seed,
     stable_shard_index,
 )
 from repro.faults.parallel import fault_identity
@@ -193,13 +192,6 @@ def test_stable_shard_index_is_pinned():
             )
     with pytest.raises(FaultModelError):
         stable_shard_index("net0/SA0", 0)
-
-
-def test_shard_seeds_are_stable_and_distinct():
-    seeds = [shard_seed(2024, index) for index in range(16)]
-    assert seeds == [shard_seed(2024, index) for index in range(16)]
-    assert len(set(seeds)) == 16
-    assert shard_seed(2024, 0) != shard_seed(2025, 0)
 
 
 # ----------------------------------------------------------------------
