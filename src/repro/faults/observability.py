@@ -9,78 +9,59 @@ strategy's loading loop) carry no observability and are skipped
 entirely — the loading loop can excite faults but never detect them,
 exactly as the methodology prescribes.
 
-Identical patterns are merged (their observability masks OR together),
-which keeps the packed bigints short without changing coverage.
+Each builder packs a record into one integer key whose bit k is the
+value of the netlist's k-th primary input, every field masked to the
+width of the bus it drives, and deduplicates on that key: the first
+occurrence fixes a pattern's index, and the observability bits of later
+duplicates OR into it.  Masking makes the key a bijection of the
+stimulus the netlist actually sees, so the indices are those a per-bit
+dedup would give.  The list of distinct keys is then bit-transposed
+once into one packed bigint per input net (bit *t* = pattern *t*), and
+the per-key observability bits likewise into one mask per output net.
+``ordered=True`` (forwarding only) keeps every observable record in
+temporal order instead, as transition-delay grading requires.
 """
 
 from __future__ import annotations
 
-from repro.cpu.core import CoreModel
-from repro.cpu.recording import ActivationLog, ForwardingRecord, HdcuRecord, IcuRecord
+from collections.abc import Sequence
+
+from repro.cpu.recording import ActivationLog
 from repro.faults.generators import ICU_FIELD_BITS, NUM_SOURCES, PORTS, CoreModules
 from repro.faults.ppsfp import PatternSet
 from repro.isa.instructions import NUM_EVENTS
-from repro.utils.bitops import bit as get_bit
+
+_ICU_FIELD = (1 << ICU_FIELD_BITS) - 1
 
 
-class _Accumulator:
-    """Merges identical (stimulus, per-output-observability) patterns.
+def _transpose(words: Sequence[int], width: int) -> list[int]:
+    """Entry j packs bit j of every word, with ``words[t]`` at bit t.
 
-    With ``ordered=True`` no merging happens and the patterns keep the
-    run's temporal order — required for transition-delay grading, where
-    the launch/capture adjacency of consecutive vectors is the test.
-    """
-
-    def __init__(self, ordered: bool = False):
-        self.ordered = ordered
-        self._patterns: dict[tuple, int] = {}
-        self._sequence: list[tuple] = []
-        self._obs: list[dict] = []
-
-    def add(self, stimulus: tuple, obs: dict[int, bool]) -> None:
-        if self.ordered:
-            self._sequence.append(stimulus)
-            self._obs.append(dict(obs))
-            return
-        index = self._patterns.get(stimulus)
-        if index is None:
-            index = len(self._obs)
-            self._patterns[stimulus] = index
-            self._obs.append(dict(obs))
-        else:
-            merged = self._obs[index]
-            for net, flag in obs.items():
-                merged[net] = merged.get(net, False) or flag
-
-    def _stimuli(self):
-        if self.ordered:
-            return enumerate(self._sequence)
-        return ((index, stimulus) for stimulus, index in self._patterns.items())
-
-    def build(self, input_nets: list[int]) -> PatternSet:
-        num = len(self._obs)
-        patterns = PatternSet(num_patterns=num)
-        inputs = {net: 0 for net in input_nets}
-        for index, stimulus in self._stimuli():
-            for net, value in zip(input_nets, stimulus):
-                if value:
-                    inputs[net] |= 1 << index
-        patterns.inputs = inputs
-        obs_packed: dict[int, int] = {}
-        for index, obs in enumerate(self._obs):
-            for net, flag in obs.items():
-                if flag:
-                    obs_packed[net] = obs_packed.get(net, 0) | (1 << index)
-        patterns.output_observability = obs_packed
-        return patterns
-
-    @property
-    def empty(self) -> bool:
-        return not self._obs
+    Each word must be below ``1 << width``."""
+    if not words:
+        return [0] * width
+    text = "".join([format(word, f"0{width}b") for word in reversed(words)])
+    return [int(text[width - 1 - j :: width], 2) for j in range(width)]
 
 
-def _bits(value: int, width: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(width))
+def _pattern_set(
+    num_patterns: int,
+    input_nets: list[int],
+    columns: list[int],
+    output_nets: list[int],
+    masks: list[int],
+) -> PatternSet:
+    """Every primary input packed (unstimulated ones at 0) and the
+    outputs with a non-empty observability mask."""
+    inputs = dict.fromkeys(input_nets, 0)
+    inputs.update(zip(input_nets, columns))
+    return PatternSet(
+        num_patterns=num_patterns,
+        inputs=inputs,
+        output_observability={
+            net: mask for net, mask in zip(output_nets, masks) if mask
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -92,40 +73,51 @@ def forwarding_pattern_sets(
 ) -> dict[tuple[int, int], PatternSet]:
     """One pattern set per consumer port from the forwarding records.
 
-    ``ordered=True`` preserves temporal order without deduplication
-    (needed for transition-delay grading)."""
+    The key is the one-hot select, then the five candidates masked to
+    the module width; a 64-bit record's ``observable_high`` ORs into a
+    per-key flag that opens the high output word.  ``ordered=True``
+    preserves temporal order without deduplication (needed for
+    transition-delay grading)."""
     width = 64 if modules.model.is64 else 32
-    accumulators = {port: _Accumulator(ordered) for port in PORTS}
+    mask = (1 << width) - 1
+    d1, d2, d3, d4 = (NUM_SOURCES + i * width for i in range(1, NUM_SOURCES))
+    rows = {port: [] if ordered else {} for port in PORTS}
     for record in log.forwarding:
         if not record.observable:
             continue
-        port = (record.slot, record.operand)
-        acc = accumulators.get(port)
-        if acc is None:
+        port_rows = rows.get((record.slot, record.operand))
+        if port_rows is None:
             continue
-        stimulus = _forwarding_stimulus(record, width)
+        c0, c1, c2, c3, c4 = record.candidates
+        key = (
+            1 << record.select
+            | (c0 & mask) << NUM_SOURCES
+            | (c1 & mask) << d1
+            | (c2 & mask) << d2
+            | (c3 & mask) << d3
+            | (c4 & mask) << d4
+        )
+        high = record.width == 64 and record.observable_high
+        if ordered:
+            port_rows.append((key, high))
+        elif high or key not in port_rows:
+            port_rows[key] = high
+    pattern_sets = {}
+    for port, port_rows in rows.items():
+        if not port_rows:
+            continue
+        keys, highs = zip(*(port_rows if ordered else port_rows.items()))
+        every = (1 << len(keys)) - 1
+        masks = [every] * 32 + _transpose(highs, 1) * (width - 32)
         netlist = modules.forwarding[port]
-        out = netlist.outputs["out"]
-        obs: dict[int, bool] = {}
-        high_ok = record.width == 64 and record.observable_high
-        for j in range(width):
-            observable = j < 32 or high_ok
-            if observable:
-                obs[out[j]] = True
-        acc.add(stimulus, obs)
-    return {
-        port: acc.build(modules.forwarding[port].input_nets)
-        for port, acc in accumulators.items()
-        if not acc.empty
-    }
-
-
-def _forwarding_stimulus(record: ForwardingRecord, width: int) -> tuple:
-    sel = tuple(1 if i == int(record.select) else 0 for i in range(NUM_SOURCES))
-    data: list[int] = []
-    for i in range(NUM_SOURCES):
-        data.extend(_bits(record.candidates[i], width))
-    return sel + tuple(data)
+        pattern_sets[port] = _pattern_set(
+            len(keys),
+            netlist.input_nets,
+            _transpose(keys, NUM_SOURCES * (1 + width)),
+            netlist.outputs["out"],
+            masks,
+        )
+    return pattern_sets
 
 
 # ----------------------------------------------------------------------
@@ -135,50 +127,50 @@ def _forwarding_stimulus(record: ForwardingRecord, width: int) -> tuple:
 def hdcu_pattern_sets(
     log: ActivationLog, modules: CoreModules
 ) -> dict[tuple[int, int], PatternSet]:
-    """One pattern set per consumer port from the HDCU records."""
-    accumulators = {port: _Accumulator() for port in PORTS}
+    """One pattern set per consumer port from the HDCU records.
+
+    The key is one 33-bit word in input-net order: consumer and four
+    producer registers (5 bits each), valid mask, load mask (4 bits
+    each).  Its observability is 6 bits, ``sel0..4`` then ``stall``."""
+    rows = {port: {} for port in PORTS}
     for record in log.hdcu:
         if not record.observable:
             continue
-        port = (record.slot, record.operand)
-        acc = accumulators.get(port)
-        if acc is None:
+        port_rows = rows.get((record.slot, record.operand))
+        if port_rows is None:
+            continue
+        p0, p1, p2, p3 = record.producer_regs
+        key = (
+            record.consumer_reg & 31
+            | (p0 & 31) << 5
+            | (p1 & 31) << 10
+            | (p2 & 31) << 15
+            | (p3 & 31) << 20
+            | (record.producer_valid & 15) << 25
+            | (record.producer_load_mask & 15) << 29
+        )
+        # A wrong stall decision is visible only when the performance
+        # counters contribute to the signature (the full algorithm of [19]).
+        obs = 32 if record.stall_observable else 0
+        flips = record.flip_visible_mask
+        if flips and not record.stall:
+            # A wrong select is visible through the datapath only when the
+            # alternative source carried different data on this pattern.
+            obs |= flips & 31 | 1 << record.select
+        port_rows[key] = port_rows.get(key, 0) | obs
+    pattern_sets = {}
+    for port, port_rows in rows.items():
+        if not port_rows:
             continue
         netlist = modules.hdcu[port]
-        stimulus = (
-            _bits(record.consumer_reg, 5)
-            + _bits(record.producer_regs[0], 5)
-            + _bits(record.producer_regs[1], 5)
-            + _bits(record.producer_regs[2], 5)
-            + _bits(record.producer_regs[3], 5)
-            + _bits(record.producer_valid, 4)
-            + _bits(record.producer_load_mask, 4)
+        pattern_sets[port] = _pattern_set(
+            len(port_rows),
+            netlist.input_nets,
+            _transpose(list(port_rows), 33),
+            netlist.outputs["sel"] + netlist.outputs["stall"],
+            _transpose(list(port_rows.values()), NUM_SOURCES + 1),
         )
-        obs = _hdcu_observability(record, netlist)
-        acc.add(stimulus, obs)
-    return {
-        port: acc.build(modules.hdcu[port].input_nets)
-        for port, acc in accumulators.items()
-        if not acc.empty
-    }
-
-
-def _hdcu_observability(record: HdcuRecord, netlist) -> dict[int, bool]:
-    sel_nets = netlist.outputs["sel"]
-    stall_net = netlist.outputs["stall"][0]
-    obs: dict[int, bool] = {}
-    if not record.stall:
-        # A wrong select is visible through the datapath only when the
-        # alternative source carried different data on this pattern.
-        for i in range(NUM_SOURCES):
-            if get_bit(record.flip_visible_mask, i):
-                obs[sel_nets[i]] = True
-        if record.flip_visible_mask:
-            obs[sel_nets[int(record.select)]] = True
-    # A wrong stall decision is visible only when the performance
-    # counters contribute to the signature (the full algorithm of [19]).
-    obs[stall_net] = record.stall_observable
-    return obs
+    return pattern_sets
 
 
 # ----------------------------------------------------------------------
@@ -187,24 +179,30 @@ def _hdcu_observability(record: HdcuRecord, netlist) -> dict[int, bool]:
 
 def icu_pattern_set(log: ActivationLog, modules: CoreModules) -> PatternSet:
     """Patterns from the ICU recognitions (merged ones split per event,
-    mirroring the sequential recognition of each pending source)."""
-    acc = _Accumulator()
+    mirroring the sequential recognition of each pending source).
+
+    The key is one word in input-net order: the one-hot event, the
+    imprecision and the recognition count ``count_before + index``, both
+    masked to ``ICU_FIELD_BITS``.  Every output is observable."""
+    keys: dict[int, None] = {}
     for record in log.icu:
         if not record.observable:
             continue
-        events = [
-            e for e in range(NUM_EVENTS) if get_bit(record.event_vector, e)
-        ]
-        for index, event in enumerate(events):
-            stimulus = (
-                tuple(1 if e == event else 0 for e in range(NUM_EVENTS))
-                + _bits(record.imprecision, ICU_FIELD_BITS)
-                + _bits(record.count_before + index, ICU_FIELD_BITS)
-            )
-            obs = {
-                net: True
-                for bus in ("status", "imp_out", "count_out")
-                for net in modules.icu.outputs[bus]
-            }
-            acc.add(stimulus, obs)
-    return acc.build(modules.icu.input_nets)
+        imprecision = (record.imprecision & _ICU_FIELD) << NUM_EVENTS
+        count = record.count_before
+        for event in range(NUM_EVENTS):
+            if record.event_vector >> event & 1:
+                field = (count & _ICU_FIELD) << NUM_EVENTS + ICU_FIELD_BITS
+                keys[1 << event | imprecision | field] = None
+                count += 1
+    icu = modules.icu
+    outputs = [
+        net for bus in ("status", "imp_out", "count_out") for net in icu.outputs[bus]
+    ]
+    return _pattern_set(
+        len(keys),
+        icu.input_nets,
+        _transpose(list(keys), NUM_EVENTS + 2 * ICU_FIELD_BITS),
+        outputs,
+        [(1 << len(keys)) - 1] * len(outputs),
+    )
