@@ -28,6 +28,7 @@ from collections.abc import Sequence
 
 from repro.cpu.recording import ActivationLog
 from repro.faults.generators import ICU_FIELD_BITS, NUM_SOURCES, PORTS, CoreModules
+from repro.faults.netlist import Netlist
 from repro.faults.ppsfp import PatternSet
 from repro.isa.instructions import NUM_EVENTS
 
@@ -45,23 +46,19 @@ def _transpose(words: Sequence[int], width: int) -> list[int]:
 
 
 def _pattern_set(
-    num_patterns: int,
-    input_nets: list[int],
-    columns: list[int],
+    netlist: Netlist,
+    keys: Sequence[int],
+    key_width: int,
     output_nets: list[int],
     masks: list[int],
 ) -> PatternSet:
-    """Every primary input packed (unstimulated ones at 0) and the
-    outputs with a non-empty observability mask."""
-    inputs = dict.fromkeys(input_nets, 0)
-    inputs.update(zip(input_nets, columns))
-    return PatternSet(
-        num_patterns=num_patterns,
-        inputs=inputs,
-        output_observability={
-            net: mask for net, mask in zip(output_nets, masks) if mask
-        },
-    )
+    """Pattern t drives the first ``key_width`` primary inputs with
+    ``keys[t]`` (the others stay 0); outputs with an empty mask are
+    left out."""
+    inputs = dict.fromkeys(netlist.input_nets, 0)
+    inputs.update(zip(netlist.input_nets, _transpose(keys, key_width)))
+    observability = {net: mask for net, mask in zip(output_nets, masks) if mask}
+    return PatternSet(len(keys), inputs, observability)
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +77,7 @@ def forwarding_pattern_sets(
     transition-delay grading)."""
     width = 64 if modules.model.is64 else 32
     mask = (1 << width) - 1
+    # Key offsets of the data buses d1..d4; d0 starts after the selects.
     d1, d2, d3, d4 = (NUM_SOURCES + i * width for i in range(1, NUM_SOURCES))
     rows = {port: [] if ordered else {} for port in PORTS}
     for record in log.forwarding:
@@ -111,11 +109,7 @@ def forwarding_pattern_sets(
         masks = [every] * 32 + _transpose(highs, 1) * (width - 32)
         netlist = modules.forwarding[port]
         pattern_sets[port] = _pattern_set(
-            len(keys),
-            netlist.input_nets,
-            _transpose(keys, NUM_SOURCES * (1 + width)),
-            netlist.outputs["out"],
-            masks,
+            netlist, keys, NUM_SOURCES * (1 + width), netlist.outputs["out"], masks
         )
     return pattern_sets
 
@@ -164,9 +158,9 @@ def hdcu_pattern_sets(
             continue
         netlist = modules.hdcu[port]
         pattern_sets[port] = _pattern_set(
-            len(port_rows),
-            netlist.input_nets,
-            _transpose(list(port_rows), 33),
+            netlist,
+            list(port_rows),
+            33,
             netlist.outputs["sel"] + netlist.outputs["stall"],
             _transpose(list(port_rows.values()), NUM_SOURCES + 1),
         )
@@ -200,9 +194,9 @@ def icu_pattern_set(log: ActivationLog, modules: CoreModules) -> PatternSet:
         net for bus in ("status", "imp_out", "count_out") for net in icu.outputs[bus]
     ]
     return _pattern_set(
-        len(keys),
-        icu.input_nets,
-        _transpose(list(keys), NUM_EVENTS + 2 * ICU_FIELD_BITS),
+        icu,
+        list(keys),
+        NUM_EVENTS + 2 * ICU_FIELD_BITS,
         outputs,
         [(1 << len(keys)) - 1] * len(outputs),
     )

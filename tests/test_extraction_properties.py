@@ -187,7 +187,9 @@ def assert_matches_reference(log: ActivationLog) -> None:
                 reference_forwarding(log, modules, ordered),
             )
             assert not problem, f"FWD core {model.name} ordered={ordered}: {problem}"
-        problem = difference(hdcu_pattern_sets(log, modules), reference_hdcu(log, modules))
+        problem = difference(
+            hdcu_pattern_sets(log, modules), reference_hdcu(log, modules)
+        )
         assert not problem, f"HDCU core {model.name}: {problem}"
         problem = difference(
             {"icu": icu_pattern_set(log, modules)}, {"icu": reference_icu(log, modules)}
@@ -264,9 +266,9 @@ def test_random_logs_match_reference(seed):
 # Directed edge cases.
 # ----------------------------------------------------------------------
 
-def fwd(candidates, width=32, select=FwdSource.EX0, observable=True, high=False, port=(0, 0)):
+def fwd(candidates, width=32, observable=True, high=False, port=(0, 0)):
     return ForwardingRecord(
-        *port, select, tuple(candidates), 0b11, width, observable, high
+        *port, FwdSource.EX0, tuple(candidates), 0b11, width, observable, high
     )
 
 
@@ -277,8 +279,9 @@ def test_candidates_above_module_width_are_truncated():
         fwd([(1 << 64) | 5, 0, 0, 0, 1], width=64),
     ])
     assert_matches_reference(log)
-    assert forwarding_pattern_sets(log, get_modules(CORE_MODEL_A))[0, 0].num_patterns == 1
-    assert forwarding_pattern_sets(log, get_modules(CORE_MODEL_C))[0, 0].num_patterns == 2
+    for model, distinct in ((CORE_MODEL_A, 1), (CORE_MODEL_C, 2)):
+        patterns = forwarding_pattern_sets(log, get_modules(model))[0, 0]
+        assert patterns.num_patterns == distinct
 
 
 def test_high_word_observability():
@@ -307,8 +310,13 @@ def test_high_word_observability():
 
 def test_non_observable_records_are_skipped():
     log = ActivationLog(
-        forwarding=[fwd([9, 9, 9, 9, 9], observable=False), fwd([1, 0, 0, 0, 0], port=(1, 1))],
-        hdcu=[HdcuRecord(3, (3, 0, 0, 0), 1, FwdSource.EX0, False, 2, observable=False)],
+        forwarding=[
+            fwd([9, 9, 9, 9, 9], observable=False),
+            fwd([1, 0, 0, 0, 0], port=(1, 1)),
+        ],
+        hdcu=[
+            HdcuRecord(3, (3, 0, 0, 0), 1, FwdSource.EX0, False, 2, observable=False)
+        ],
         icu=[IcuRecord(0b1, False, 0, 0, observable=False)],
     )
     assert_matches_reference(log)
@@ -325,9 +333,9 @@ def test_hdcu_stall_and_flip_observability_merge():
     )
     log = ActivationLog(hdcu=[
         HdcuRecord(**base, stall=True, flip_visible_mask=0b11, stall_observable=False),
-        HdcuRecord(**base, stall=False, flip_visible_mask=0b100, stall_observable=False),
+        HdcuRecord(**base, stall=False, flip_visible_mask=0b100),
         HdcuRecord(**base, stall=True, flip_visible_mask=0, stall_observable=True),
-        HdcuRecord(**{**base, "consumer_reg": 35}, stall=False, flip_visible_mask=0b100000),
+        HdcuRecord(**{**base, "consumer_reg": 35}, stall=False, flip_visible_mask=64),
     ])
     assert_matches_reference(log)
     netlist = get_modules(CORE_MODEL_A).hdcu[0, 0]
