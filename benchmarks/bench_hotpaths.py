@@ -122,7 +122,7 @@ def test_compiled_kernel_speedup(emit):
     speedup = times["interpreted"] / times["compiled"]
     metrics.record_host("bench.hotpaths.speedup_x1000", int(speedup * 1000))
 
-    # Pool scaling of the compiled engine over the same scenario set.
+    # Pool scaling of the campaign over the same scenario set.
     runs = []
     for workers in WORKER_COUNTS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +134,6 @@ def test_compiled_kernel_speedup(emit):
                 tmp,
                 modules=MODULES,
                 workers=workers,
-                engine="compiled",
                 metrics=metrics,
             )
             seconds = time.perf_counter() - start

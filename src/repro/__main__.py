@@ -142,7 +142,6 @@ def _run_faultsim(argv: list[str]) -> int:
         run_parallel_checkpointed_campaign,
     )
     from repro.faults.parallel import resolve_workers
-    from repro.faults.ppsfp import ENGINES
     from repro.faults.workload import (
         DEFAULT_CAMPAIGN_MODELS,
         small_provider,
@@ -167,16 +166,6 @@ def _run_faultsim(argv: list[str]) -> int:
             "process-pool size (1, the default, runs the shards in this "
             "process unless the run is supervised); "
             "requests beyond the host's CPU count are clamped"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="compiled",
-        help=(
-            "fault-simulation engine: the levelized compiled kernel "
-            "(default) or the interpreted reference path — bit-identical "
-            "coverage either way"
         ),
     )
     parser.add_argument(
@@ -284,7 +273,6 @@ def _run_faultsim(argv: list[str]) -> int:
             modules=modules,
             workers=workers,
             num_shards=args.shards,
-            engine=args.engine,
             metrics=metrics,
             policy=policy,
         )
@@ -335,8 +323,7 @@ def _run_faultsim(argv: list[str]) -> int:
             rows,
             title=(
                 f"Coverage ranges over {len(result.outcomes)} scenarios "
-                f"({workers} workers, {result.num_shards} shards, "
-                f"{args.engine} engine)"
+                f"({workers} workers, {result.num_shards} shards)"
             ),
         )
     )
@@ -387,7 +374,6 @@ def _run_faultsim(argv: list[str]) -> int:
     if args.json_out:
         payload = {
             "workers": workers,
-            "engine": args.engine,
             "num_shards": result.num_shards,
             "scenarios": len(result.outcomes),
             "modules": list(modules),

@@ -25,7 +25,7 @@ from repro.faults.observability import (
     hdcu_pattern_sets,
     icu_pattern_set,
 )
-from repro.faults.ppsfp import _check_engine, fault_simulate
+from repro.faults.ppsfp import fault_simulate
 from repro.faults.transition import (
     enumerate_transition_faults,
     transition_fault_simulate,
@@ -65,9 +65,7 @@ class ModuleCoverage:
         )
 
 
-def forwarding_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
-) -> ModuleCoverage:
+def forwarding_coverage(log: ActivationLog, model: CoreModel) -> ModuleCoverage:
     """Grade the forwarding-logic fault list against one run's log."""
     modules = get_modules(model)
     pattern_sets = forwarding_pattern_sets(log, modules)
@@ -76,9 +74,7 @@ def forwarding_coverage(
         patterns = pattern_sets.get(port)
         if patterns is None or patterns.num_patterns == 0:
             continue
-        result = fault_simulate(
-            modules.forwarding[port], patterns, faults, engine=engine
-        )
+        result = fault_simulate(modules.forwarding[port], patterns, faults)
         detected += result.detected_faults
     return ModuleCoverage(
         module="FWD",
@@ -88,9 +84,7 @@ def forwarding_coverage(
     )
 
 
-def hdcu_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
-) -> ModuleCoverage:
+def hdcu_coverage(log: ActivationLog, model: CoreModel) -> ModuleCoverage:
     """Grade the HDCU fault list against one run's log."""
     modules = get_modules(model)
     pattern_sets = hdcu_pattern_sets(log, modules)
@@ -99,9 +93,7 @@ def hdcu_coverage(
         patterns = pattern_sets.get(port)
         if patterns is None or patterns.num_patterns == 0:
             continue
-        result = fault_simulate(
-            modules.hdcu[port], patterns, faults, engine=engine
-        )
+        result = fault_simulate(modules.hdcu[port], patterns, faults)
         detected += result.detected_faults
     return ModuleCoverage(
         module="HDCU",
@@ -111,9 +103,7 @@ def hdcu_coverage(
     )
 
 
-def icu_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
-) -> ModuleCoverage:
+def icu_coverage(log: ActivationLog, model: CoreModel) -> ModuleCoverage:
     """Grade the ICU fault list against one run's log."""
     modules = get_modules(model)
     patterns = icu_pattern_set(log, modules)
@@ -121,7 +111,7 @@ def icu_coverage(
         detected = 0
     else:
         detected = fault_simulate(
-            modules.icu, patterns, modules.icu_faults, engine=engine
+            modules.icu, patterns, modules.icu_faults
         ).detected_faults
     return ModuleCoverage(
         module="ICU",
@@ -132,7 +122,7 @@ def icu_coverage(
 
 
 def forwarding_transition_coverage(
-    log: ActivationLog, model: CoreModel, *, engine: str = "compiled"
+    log: ActivationLog, model: CoreModel
 ) -> ModuleCoverage:
     """Grade transition-delay faults on the forwarding logic.
 
@@ -152,9 +142,7 @@ def forwarding_transition_coverage(
         patterns = pattern_sets.get(port)
         if patterns is None or patterns.num_patterns < 2:
             continue
-        result = transition_fault_simulate(
-            netlist, patterns, faults, engine=engine
-        )
+        result = transition_fault_simulate(netlist, patterns, faults)
         detected += result.detected_faults
     return ModuleCoverage(
         module="FWD-TDF",
@@ -441,7 +429,6 @@ def run_checkpointed_campaign(
     retries: int = 1,
     on_scenario=None,
     audit: bool = False,
-    engine: str = "compiled",
 ) -> dict[str, ScenarioOutcome]:
     """Run a coverage campaign with supervision and JSON checkpointing.
 
@@ -460,10 +447,7 @@ def run_checkpointed_campaign(
     ``on_scenario(outcome)``, when given, is called after each scenario
     is checkpointed — the test hook used to simulate mid-run kills.
     ``audit=True`` runs every scenario under the determinism auditor and
-    records its verdict in each :class:`ScenarioOutcome`.  ``engine``
-    selects the fault-simulation kernel the graders use ("compiled" by
-    default, "interpreted" for the reference path — bit-identical
-    outcomes either way).
+    records its verdict in each :class:`ScenarioOutcome`.
     """
     # Imported here: repro.core builds on repro.faults results in the
     # analysis layer, so the module-level direction stays faults <- core.
@@ -473,7 +457,6 @@ def run_checkpointed_campaign(
     unknown = [m for m in modules if m not in COVERAGE_GRADERS]
     if unknown:
         raise ValueError(f"unknown coverage modules {unknown}")
-    _check_engine(engine)
     config = soc_config or DEFAULT_SOC_CONFIG
     checkpoint = CampaignCheckpoint(checkpoint_path, modules)
     for scenario in scenarios:
@@ -500,8 +483,7 @@ def run_checkpointed_campaign(
                 {
                     "core_id": core_id,
                     **COVERAGE_GRADERS[module](
-                        result.per_core[core_id].log, models[core_id],
-                        engine=engine,
+                        result.per_core[core_id].log, models[core_id]
                     ).to_dict(),
                 }
                 for module in modules

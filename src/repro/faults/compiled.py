@@ -39,8 +39,8 @@ The compiled engine is selected with ``engine="compiled"`` (the
 default) on :func:`repro.faults.ppsfp.fault_simulate` and friends; its
 results are bit-identical to ``engine="interpreted"`` — same detected
 fault sets, same coverage, same signatures — which the differential
-suite ``tests/test_compiled_equivalence.py`` pins across fault models,
-shard geometries and checkpoint resume.
+suite ``tests/test_compiled_equivalence.py`` pins across fault models
+and through a whole checkpointed campaign.
 """
 
 from __future__ import annotations

@@ -206,9 +206,9 @@ class Netlist:
     def __getstate__(self):
         """Drop the cached compile artifact from pickles.
 
-        Shard tasks ship netlists to worker processes; the receiving
-        side recompiles (and instance-caches) on first use, which is
-        cheaper than serialising the flat arrays, cones and buffers."""
+        A netlist shipped to another process is recompiled (and
+        instance-cached) there on first use, which is cheaper than
+        serialising the flat arrays, cones and buffers."""
         state = dict(self.__dict__)
         state.pop("_compiled_artifact", None)
         return state

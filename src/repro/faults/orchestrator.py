@@ -1,11 +1,10 @@
-"""The one shard-dispatch loop of the sharded engines.
+"""The one shard-dispatch loop of the sharded campaign.
 
-Scenario campaigns (:func:`run_parallel_checkpointed_campaign`) and
-fault-list grading (:func:`parallel_fault_simulate`,
-:func:`parallel_transition_fault_simulate`,
-:func:`orchestrated_fault_simulate`) split their work with the pure
-primitives of :mod:`repro.faults.parallel` and hand the shards to one
-loop, :func:`_supervise`.  Its dispatch rule:
+:func:`run_parallel_checkpointed_campaign` splits the scenario matrix
+with the pure primitives of :mod:`repro.faults.parallel` and hands the
+scenario shards to one loop, :func:`_supervise`.  Every shard grades
+its scenarios one by one against the full fault lists, exactly like the
+serial campaign.  The loop's dispatch rule:
 
 * shards run **in the calling process** if and only if ``workers == 1``
   and there is no :class:`RetryPolicy`; otherwise they run through a
@@ -51,7 +50,7 @@ the campaign's checkpoint manifest.
 
 The headline invariant, enforced by the chaos suite
 (``tests/test_orchestrator_chaos.py`` with :mod:`repro.faults.chaos`):
-whenever no shard ends quarantined, merged results and campaign
+whenever no shard ends quarantined, merged campaign outcomes and
 signatures are **bit-identical** to a clean run — retries, rebuilds and
 straggler kills are invisible in the numbers.
 """
@@ -74,29 +73,15 @@ from repro.faults.parallel import (
     ShardTiming,
     _merge_campaign_outcomes,
     _prepare_campaign,
-    check_partition,
-    reduce_results,
-    shard_faults,
-)
-from repro.faults.ppsfp import DropSet, FaultSimResult, fault_simulate
-from repro.faults.stuckat import collapse_with_weights
-from repro.faults.transition import (
-    enumerate_transition_faults,
-    transition_fault_simulate,
 )
 from repro.telemetry.events import NULL_SINK, EventKind
 
 __all__ = [
     "ORCHESTRATION_REPORT_NAME",
-    "OrchestratedSimResult",
     "OrchestrationReport",
     "ParallelCampaignResult",
-    "PartialCampaignResult",
     "RetryPolicy",
     "ShardAttempt",
-    "orchestrated_fault_simulate",
-    "parallel_fault_simulate",
-    "parallel_transition_fault_simulate",
     "run_parallel_checkpointed_campaign",
 ]
 
@@ -123,8 +108,8 @@ class RetryPolicy:
     arms straggler detection; ``max_pool_rebuilds`` bounds pool
     resurrection before degrading to in-process serial execution;
     ``allow_partial`` turns quarantine from an
-    :class:`~repro.errors.OrchestrationError` into an explicit
-    :class:`PartialCampaignResult`.
+    :class:`~repro.errors.OrchestrationError` into a
+    :class:`ParallelCampaignResult` with an explicit quarantine roster.
     """
 
     max_retries: int = 2
@@ -323,75 +308,9 @@ class ParallelCampaignResult:
         }
 
 
-#: Former name of the supervised campaign result; every campaign now
-#: returns :class:`ParallelCampaignResult`.
-PartialCampaignResult = ParallelCampaignResult
-
-
-@dataclass(frozen=True)
-class OrchestratedSimResult:
-    """Supervised fault-simulation outcome.
-
-    With quarantined shards, ``result`` counts their faults in
-    ``total_faults`` with zero detections — coverage is a true lower
-    bound (the real coverage can only be higher).
-    """
-
-    result: FaultSimResult
-    report: OrchestrationReport
-    quarantined_shards: tuple[int, ...] = ()
-    #: Weighted fault population of the quarantined shards.
-    quarantined_faults: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return not self.quarantined_shards
-
-
 # ----------------------------------------------------------------------
-# Shard bodies: what one dispatched shard runs, in a worker or inline.
+# The shard body: what one dispatched shard runs, in a worker or inline.
 # ----------------------------------------------------------------------
-
-def _simulate_shard(
-    kind: str,
-    netlist,
-    patterns,
-    shard: list,
-    engine: str,
-    dropped_ids: list[str] | None,
-    chaos,
-    shard_index: int,
-    attempt: int,
-    in_process: bool,
-):
-    """Grade one fault shard serially.
-
-    ``dropped_ids`` carries the caller's :class:`DropSet` content into
-    the worker; the returned third element lists the shard's *new*
-    detections (sorted) so the parent can merge them back.  Because
-    faults are sharded by the same ``stable_id`` the drop set is keyed
-    on, a fault's drop state never crosses shards — any geometry drops
-    exactly like the serial path.
-
-    ``chaos`` (a :class:`~repro.faults.chaos.ChaosPolicy`, supervised
-    runs only) fires a deterministic injected failure at shard entry
-    when its directive matches this (shard, attempt) pair;
-    ``in_process`` downgrades process-level misbehaviour when the shard
-    runs in the calling process.
-    """
-    if chaos is not None:
-        chaos.fire(shard_index, attempt, in_process=in_process)
-    start = time.perf_counter()
-    dropped = DropSet(dropped_ids) if dropped_ids is not None else None
-    grade = fault_simulate if kind == "stuckat" else transition_fault_simulate
-    result = grade(netlist, patterns, shard, engine=engine, dropped=dropped)
-    new_ids = (
-        sorted(dropped.detected.difference(dropped_ids))
-        if dropped is not None
-        else []
-    )
-    return result.to_dict(), time.perf_counter() - start, new_ids
-
 
 def _campaign_shard_worker(spec: dict):
     """Run one scenario shard to completion.
@@ -420,7 +339,6 @@ def _campaign_shard_worker(spec: dict):
         retries=spec["retries"],
         audit=spec["audit"],
         on_scenario=on_scenario,
-        engine=spec["engine"],
     )
     return (
         spec["index"],
@@ -731,7 +649,7 @@ def _supervise(
                         record_failure(
                             state,
                             "pool-broken",
-                            f"{type(exc).__name__}: {exc}" or "pool broke",
+                            f"{type(exc).__name__}: {exc}",
                             seconds,
                         )
                         rebuild_pool("isolated-break")
@@ -801,9 +719,10 @@ def _supervise(
     report.quarantined.sort()
 
 
-def _record_shard_metrics(metrics, prefix: str, timings: list[ShardTiming]) -> None:
+def _record_shard_metrics(metrics, timings: list[ShardTiming]) -> None:
     if metrics is None:
         return
+    prefix = "faultsim.campaign"
     for timing in timings:
         metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
         metrics.record_host(
@@ -835,198 +754,6 @@ def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# Sharded fault simulation (stuck-at / transition models).
-# ----------------------------------------------------------------------
-
-def _weighted_count(shard) -> int:
-    """Weighted fault population of one shard (weights default to 1)."""
-    return sum(
-        item[1] if isinstance(item, tuple) else 1 for item in shard
-    )
-
-
-def _orchestrated_simulate(
-    kind: str,
-    netlist,
-    patterns,
-    faults: list,
-    workers: int,
-    num_shards: int | None,
-    policy: RetryPolicy | None,
-    chaos,
-    telemetry,
-    metrics,
-    engine: str,
-    dropped: DropSet | None,
-) -> OrchestratedSimResult:
-    if workers < 1:
-        raise FaultModelError(f"workers must be >= 1, got {workers}")
-    shards = shard_faults(faults, num_shards or workers)
-    check_partition(faults, shards)
-    dropped_ids = dropped.sorted_ids() if dropped is not None else None
-    report = OrchestrationReport(
-        num_shards=len(shards),
-        workers=workers,
-        policy=policy.to_dict() if policy is not None else {},
-    )
-    raw_results: dict[int, tuple] = {}
-
-    def submit(pool, index, attempt):
-        return pool.submit(
-            _simulate_shard, kind, netlist, patterns, shards[index],
-            engine, dropped_ids, chaos, index, attempt, False,
-        )
-
-    def run_inline(index, attempt):
-        return _simulate_shard(
-            kind, netlist, patterns, shards[index], engine, dropped_ids,
-            chaos, index, attempt, True,
-        )
-
-    _supervise(
-        range(len(shards)), submit, run_inline, workers, policy,
-        telemetry, report, raw_results.__setitem__,
-    )
-
-    quarantined = tuple(report.quarantined)
-    if quarantined and not policy.allow_partial:
-        _record_orchestrator_metrics(metrics, report)
-        raise OrchestrationError(
-            f"{kind} fault simulation quarantined shards "
-            f"{list(quarantined)} after exhausting "
-            f"{policy.max_retries + 1} attempts each "
-            "(pass allow_partial=True for a lower-bound result)"
-        )
-    if not raw_results:
-        raise OrchestrationError(
-            f"{kind} fault simulation completed no shard at all; "
-            "a fully-quarantined run carries no information to return"
-        )
-    results = []
-    timings = []
-    for index in sorted(raw_results):
-        result_dict, seconds, new_ids = raw_results[index]
-        results.append(FaultSimResult.from_dict(result_dict))
-        if dropped is not None:
-            dropped.update(new_ids)
-        timings.append(
-            ShardTiming(
-                index=index, items=len(shards[index]), seconds=seconds
-            )
-        )
-    merged = reduce_results(results)
-    quarantined_faults = sum(_weighted_count(shards[i]) for i in quarantined)
-    if quarantined_faults:
-        # Fold the lost shards in as undetected: the reported coverage
-        # is a floor over the full fault population, not a rosy figure
-        # over a quietly shrunken one.
-        merged = merged.merge(
-            FaultSimResult(
-                module=merged.module,
-                total_faults=quarantined_faults,
-                detected_faults=0,
-                num_patterns=merged.num_patterns,
-            )
-        )
-    _record_shard_metrics(metrics, f"faultsim.{kind}", timings)
-    if policy is not None:
-        _record_orchestrator_metrics(metrics, report)
-    return OrchestratedSimResult(
-        result=merged,
-        report=report,
-        quarantined_shards=quarantined,
-        quarantined_faults=quarantined_faults,
-    )
-
-
-def parallel_fault_simulate(
-    netlist,
-    patterns,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.ppsfp.fault_simulate`.
-
-    Accepts plain or weighted fault lists exactly like the serial
-    engine.  The list is split into ``num_shards`` deterministic shards
-    (default: one per worker), graded in this process at ``workers=1``
-    and over a process pool otherwise, and merged with
-    :func:`~repro.faults.parallel.reduce_results` — the totals are
-    bit-identical for every geometry.  ``metrics`` (a
-    :class:`repro.telemetry.MetricsCollector`) receives per-shard
-    timing/throughput host counters when given.  ``engine`` and
-    ``dropped`` pass through to the serial grader in every shard; new
-    drop-set detections are merged back after the last shard completes.
-    """
-    if faults is None:
-        faults = collapse_with_weights(netlist)
-    return _orchestrated_simulate(
-        "stuckat", netlist, patterns, list(faults), workers, num_shards,
-        None, None, None, metrics, engine, dropped,
-    ).result
-
-
-def parallel_transition_fault_simulate(
-    netlist,
-    patterns,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> FaultSimResult:
-    """Sharded :func:`repro.faults.transition.transition_fault_simulate`.
-
-    The pattern set must be *ordered* (see the serial engine); sharding
-    happens over faults, never over patterns, so launch/capture
-    adjacency is preserved inside every shard.
-    """
-    if faults is None:
-        faults = enumerate_transition_faults(netlist)
-    return _orchestrated_simulate(
-        "transition", netlist, patterns, list(faults), workers, num_shards,
-        None, None, None, metrics, engine, dropped,
-    ).result
-
-
-def orchestrated_fault_simulate(
-    netlist,
-    patterns,
-    faults=None,
-    *,
-    workers: int = 1,
-    num_shards: int | None = None,
-    policy: RetryPolicy | None = None,
-    chaos=None,
-    telemetry=None,
-    metrics=None,
-    engine: str = "compiled",
-    dropped: DropSet | None = None,
-) -> OrchestratedSimResult:
-    """Supervised :func:`parallel_fault_simulate`.
-
-    Same sharding, same merge, same bit-identical totals — plus the
-    retry/rebuild/straggler/quarantine supervision documented on this
-    module (``policy`` defaults to :class:`RetryPolicy`).  ``workers=1``
-    still runs through a (single-worker) pool so a crashing shard is
-    recoverable rather than fatal.
-    """
-    if faults is None:
-        faults = collapse_with_weights(netlist)
-    return _orchestrated_simulate(
-        "stuckat", netlist, patterns, list(faults), workers, num_shards,
-        policy or RetryPolicy(), chaos, telemetry, metrics, engine, dropped,
-    )
-
-
-# ----------------------------------------------------------------------
 # Sharded checkpointed campaigns.
 # ----------------------------------------------------------------------
 
@@ -1044,7 +771,6 @@ def run_parallel_checkpointed_campaign(
     audit: bool = False,
     metrics=None,
     on_shard=None,
-    engine: str = "compiled",
     policy: RetryPolicy | None = None,
     chaos=None,
     telemetry=None,
@@ -1074,10 +800,7 @@ def run_parallel_checkpointed_campaign(
     ``workers=1`` without a policy, over a process pool otherwise.
     ``on_shard(index, outcomes)`` fires in the parent as each shard
     completes (kill-injection hook); ``metrics`` receives per-shard
-    timing/throughput host counters.  ``engine`` selects the
-    fault-simulation kernel inside every shard (results are
-    bit-identical across engines, so resuming with a different engine
-    is legal).
+    timing/throughput host counters.
 
     Without ``policy`` the first shard exception propagates unchanged;
     every scenario a shard checkpointed before it failed stays on disk
@@ -1127,7 +850,6 @@ def run_parallel_checkpointed_campaign(
             "max_cycles": max_cycles,
             "retries": retries,
             "audit": audit,
-            "engine": engine,
         }
 
     def submit(pool, index, attempt):
@@ -1166,7 +888,7 @@ def run_parallel_checkpointed_campaign(
         for label in plan.labels[index]
     )
     timings.sort(key=lambda t: t.index)
-    _record_shard_metrics(metrics, "faultsim.campaign", timings)
+    _record_shard_metrics(metrics, timings)
     if metrics is not None:
         metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
         metrics.record_host("faultsim.campaign.workers", workers)

@@ -1,25 +1,18 @@
-"""Deterministic sharding, merging and manifest primitives.
+"""Deterministic scenario sharding, manifest and resume primitives.
 
-The serial graders in :mod:`repro.faults.ppsfp` /
-:mod:`repro.faults.transition` simulate one fault at a time against a
-fixed pattern set, and :func:`repro.faults.campaign.run_checkpointed_campaign`
-runs one scenario at a time — both embarrassingly parallel.  This module
-holds the pure pieces that let :mod:`repro.faults.orchestrator` (the one
-loop that dispatches shards) split that work and put it back together
-without changing a single reported number:
+:func:`repro.faults.campaign.run_checkpointed_campaign` grades one
+scenario at a time, each independently of the others — embarrassingly
+parallel.  This module holds the pure pieces that let
+:mod:`repro.faults.orchestrator` (the one loop that dispatches shards)
+split a campaign by scenario and put it back together without changing
+a single reported number:
 
-* **Deterministic sharding.**  Faults are assigned to shards by a
-  *stable* hash of their identity (:func:`stable_shard_index`, CRC-32 of
-  ``str(fault)`` — never Python's salted ``hash``), scenarios by the
-  same hash of their label.  The shard layout depends only on the work
-  items and the shard count, never on the worker count, host, or
-  process — so any pool geometry reproduces the same partition.
-* **Order-independent merging.**  Shard results are combined with an
-  associativity-checked reducer (:func:`reduce_results`): detection of
-  each fault is independent under single-fault assumption, so per-shard
-  ``detected``/``total`` counts add exactly, and the reducer verifies
-  that a left fold and a balanced tree fold agree before trusting the
-  sum.
+* **Deterministic sharding.**  Scenarios are assigned to shards by a
+  *stable* hash of their label (:func:`stable_shard_index`, CRC-32 —
+  never Python's salted ``hash``).  The shard layout depends only on
+  the scenario labels and the shard count, never on the worker count,
+  host, or process — so any pool geometry reproduces the same
+  partition.
 * **Pinned campaign layout.**  A sharded campaign writes one
   :class:`~repro.faults.campaign.CampaignCheckpoint` per shard plus a
   manifest pinning the shard layout (:class:`CampaignShardPlan`), so a
@@ -45,16 +38,12 @@ from repro.faults.campaign import (
     quarantine_corrupt_file,
     verify_payload,
 )
-from repro.faults.ppsfp import FaultSimResult
 
 __all__ = [
     "CampaignShardPlan",
     "ShardTiming",
-    "check_partition",
     "plan_campaign_shards",
-    "reduce_results",
     "resolve_workers",
-    "shard_faults",
     "stable_shard_index",
 ]
 
@@ -70,8 +59,9 @@ def resolve_workers(requested: int | None) -> int:
     single-CPU container ends up *slower* than serial.  The CLI and the
     benchmarks resolve their worker counts through this helper so
     oversubscription never happens by default; callers that really want
-    it can still pass an explicit ``workers`` to the engine functions,
-    which do not clamp.
+    it can still pass an explicit ``workers`` to
+    :func:`~repro.faults.orchestrator.run_parallel_checkpointed_campaign`,
+    which does not clamp.
     """
     cpus = max(1, os.cpu_count() or 1)
     if requested is None:
@@ -85,109 +75,16 @@ def resolve_workers(requested: int | None) -> int:
 # Deterministic sharding primitives.
 # ----------------------------------------------------------------------
 
-def fault_identity(item) -> str:
-    """Stable identity string of a fault-list item.
-
-    Accepts both plain faults and the weighted ``(fault, class_size)``
-    pairs of :func:`repro.faults.stuckat.collapse_with_weights`; the
-    weight is not part of the identity (it rides along with its
-    representative).
-    """
-    fault = item[0] if isinstance(item, tuple) else item
-    return str(fault)
-
-
 def stable_shard_index(identity: str, num_shards: int) -> int:
     """Shard assignment by CRC-32 of the identity string.
 
     Deliberately *not* Python's ``hash``: that one is salted per
-    process (PYTHONHASHSEED), which would scatter faults differently in
-    every worker and make serial-vs-parallel equivalence meaningless.
+    process (PYTHONHASHSEED), which would scatter scenarios differently
+    in every process and make a pinned shard layout meaningless.
     """
     if num_shards < 1:
         raise FaultModelError(f"num_shards must be >= 1, got {num_shards}")
     return zlib.crc32(identity.encode("utf-8")) % num_shards
-
-
-def shard_faults(faults: list, num_shards: int) -> list[list]:
-    """Partition a fault list into ``num_shards`` deterministic shards.
-
-    Every fault lands in exactly one shard (stable hash of its
-    identity) and keeps its original relative order inside the shard.
-    Shards may be empty — a 3-fault list sharded 16 ways is legal and
-    merges to the same totals.
-    """
-    shards: list[list] = [[] for _ in range(num_shards)]
-    for item in faults:
-        shards[stable_shard_index(fault_identity(item), num_shards)].append(item)
-    return shards
-
-
-def check_partition(faults: list, shards: list[list]) -> None:
-    """Verify a shard set is a true partition of the fault list.
-
-    Completeness (every fault present) and disjointness (no fault in
-    two shards) are checked as identity multisets; a violation raises
-    :class:`~repro.errors.FaultModelError` rather than silently
-    over- or under-counting coverage.
-    """
-    want: dict[str, int] = {}
-    for item in faults:
-        key = fault_identity(item)
-        want[key] = want.get(key, 0) + 1
-    got: dict[str, int] = {}
-    for shard in shards:
-        for item in shard:
-            key = fault_identity(item)
-            got[key] = got.get(key, 0) + 1
-    if want != got:
-        missing = {k for k in want if want[k] > got.get(k, 0)}
-        extra = {k for k in got if got[k] > want.get(k, 0)}
-        raise FaultModelError(
-            f"shard set is not a partition: missing={sorted(missing)[:5]} "
-            f"duplicated_or_foreign={sorted(extra)[:5]}"
-        )
-
-
-# ----------------------------------------------------------------------
-# Order-independent, associativity-checked result reduction.
-# ----------------------------------------------------------------------
-
-def reduce_results(results: list[FaultSimResult]) -> FaultSimResult:
-    """Merge per-shard results into one, checking associativity.
-
-    The merge itself is integer addition over ``total``/``detected``
-    (commutative and associative by construction); the check folds the
-    list both left-to-right and as a balanced tree and insists the two
-    agree, so a future non-associative "merge" cannot slip in silently.
-    """
-    if not results:
-        raise FaultModelError("reduce_results of an empty shard list")
-    left = results[0]
-    for result in results[1:]:
-        left = left.merge(result)
-    tree = _tree_reduce(results)
-    if (left.total_faults, left.detected_faults) != (
-        tree.total_faults,
-        tree.detected_faults,
-    ):
-        raise FaultModelError(
-            f"merge is not associative: fold={left} tree={tree}"
-        )
-    return left
-
-
-def _tree_reduce(results: list[FaultSimResult]) -> FaultSimResult:
-    level = list(results)
-    while len(level) > 1:
-        nxt = [
-            level[i].merge(level[i + 1])
-            for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
 
 
 @dataclass(frozen=True)

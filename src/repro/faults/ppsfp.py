@@ -21,10 +21,8 @@ Both engines support **fault dropping** through a :class:`DropSet`:
 a registry of detected ``stable_id``s shared across calls (pattern
 blocks, scenarios) of one cumulative grading campaign.  A fault whose
 id is already in the set is credited as detected without simulating —
-the classic fault-dropping optimisation — and because drop decisions
-are keyed by the same ``stable_id`` the deterministic sharder hashes,
-a fault's drop state is confined to the one shard that owns it: serial
-and sharded runs drop identically.
+the classic fault-dropping optimisation.  Both engines record the same
+ids, so the drop set, like the result, is engine-independent.
 """
 
 from __future__ import annotations
@@ -62,12 +60,6 @@ class DropSet:
     without dropping; across calls it implements union semantics
     ("which faults has the campaign detected so far") at a fraction of
     the cost.
-
-    Determinism rule: drop decisions are keyed by ``stable_id`` — the
-    exact key :func:`repro.faults.parallel.stable_shard_index` hashes —
-    so a fault's drop state lives entirely in the one shard that owns
-    the fault, and any (workers, num_shards) geometry drops the same
-    faults on the same calls as the serial path.
     """
 
     __slots__ = ("_ids",)
@@ -84,17 +76,10 @@ class DropSet:
     def add(self, stable_id: str) -> None:
         self._ids.add(stable_id)
 
-    def update(self, ids) -> None:
-        self._ids.update(ids)
-
     @property
     def detected(self) -> frozenset:
         """The detected ``stable_id``s recorded so far."""
         return frozenset(self._ids)
-
-    def sorted_ids(self) -> list[str]:
-        """Deterministically ordered ids (for manifests and pickles)."""
-        return sorted(self._ids)
 
 
 @dataclass
@@ -130,43 +115,6 @@ class FaultSimResult:
         if self.total_faults == 0:
             return 0.0
         return 100.0 * self.detected_faults / self.total_faults
-
-    def merge(self, other: "FaultSimResult") -> "FaultSimResult":
-        """Combine results of two disjoint fault shards.
-
-        Under the single-fault assumption each fault's detection is
-        independent of every other fault in the list, so the counts of
-        disjoint shards add exactly.  Both shards must have been graded
-        against the same module and pattern set.
-        """
-        if other.module != self.module or other.num_patterns != self.num_patterns:
-            raise FaultModelError(
-                f"cannot merge {self.module}@{self.num_patterns} patterns "
-                f"with {other.module}@{other.num_patterns} patterns"
-            )
-        return FaultSimResult(
-            module=self.module,
-            total_faults=self.total_faults + other.total_faults,
-            detected_faults=self.detected_faults + other.detected_faults,
-            num_patterns=self.num_patterns,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "total_faults": self.total_faults,
-            "detected_faults": self.detected_faults,
-            "num_patterns": self.num_patterns,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSimResult":
-        return cls(
-            module=data["module"],
-            total_faults=data["total_faults"],
-            detected_faults=data["detected_faults"],
-            num_patterns=data["num_patterns"],
-        )
 
 
 def good_simulation(netlist: Netlist, patterns: PatternSet) -> list[int]:

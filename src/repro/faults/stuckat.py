@@ -24,11 +24,11 @@ class StuckAtFault:
 
     @property
     def stable_id(self) -> str:
-        """Process-stable identity used for deterministic sharding.
+        """Process-stable identity of the fault.
 
-        The parallel engine assigns shards by a stable hash of this
-        string (never Python's salted ``hash``), so it must identify
-        the fault uniquely and never change format silently.
+        :class:`~repro.faults.ppsfp.DropSet` keys its drop decisions on
+        this string, so it must identify the fault uniquely and never
+        change format silently.
         """
         return f"net{self.net}/SA{self.value}"
 

@@ -53,8 +53,8 @@ class TransitionFault:
 
     @property
     def stable_id(self) -> str:
-        """Process-stable identity used for deterministic sharding
-        (same contract as :attr:`StuckAtFault.stable_id`)."""
+        """Process-stable identity of the fault (same contract as
+        :attr:`StuckAtFault.stable_id`)."""
         kind = "STR" if self.rising else "STF"
         return f"net{self.net}/{kind}"
 

@@ -62,8 +62,8 @@ class MetricsView:
     metrics are named ``bus.<metric>`` and cache metrics
     ``<cache>.<metric>`` (cache names come from ``CacheConfig.name``).
     ``host`` carries host-side counters that belong to no simulated
-    core or phase — e.g. the parallel fault-simulation engine's
-    per-shard timing and throughput (``faultsim.*``).
+    core or phase — e.g. the sharded campaign's per-shard timing and
+    throughput (``faultsim.*``).
     """
 
     def __init__(self, counts: dict, host: dict | None = None):
@@ -240,10 +240,9 @@ class MetricsCollector:
         """Accumulate a host-side counter (no core, no phase).
 
         The out-of-band entry point for instrumentation that runs on
-        the host rather than in the simulated SoC — the parallel
-        fault-simulation engine records per-shard wall-clock and
-        throughput here, keeping the (core, phase) space reserved for
-        simulated activity.
+        the host rather than in the simulated SoC — the sharded
+        campaign records per-shard wall-clock and throughput here,
+        keeping the (core, phase) space reserved for simulated activity.
         """
         if amount == 0:
             return

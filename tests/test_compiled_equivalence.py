@@ -6,15 +6,17 @@ buffers — but not one reported number may move.  These tests pin that
 contract against the interpreted reference path for the three fault
 models (uncollapsed stuck-at, weighted PPSFP, transition-delay), on
 both real module netlists and seeded random ones, with and without
-fault dropping, across shard geometries, and through a killed-and-
-resumed checkpointed campaign that switches engines mid-flight.
+fault dropping, and end to end through a checkpointed campaign graded
+by each engine in turn.
 """
 
+import functools
 import pickle
 import random
 
 import pytest
 
+import repro.faults.campaign as campaign
 from repro.core.determinism import Scenario, run_scenario
 from repro.cpu.core import CORE_MODEL_A
 from repro.errors import FaultModelError
@@ -23,9 +25,7 @@ from repro.faults import (
     compiled_for,
     fault_simulate,
     get_modules,
-    parallel_fault_simulate,
     run_checkpointed_campaign,
-    run_parallel_checkpointed_campaign,
 )
 from repro.faults.gates import UNARY, GateKind
 from repro.faults.netlist import Netlist
@@ -39,7 +39,6 @@ from repro.faults.transition import (
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 
-SHARD_COUNTS = (1, 2, 7, 16)
 SEEDS = tuple(range(6))
 
 SCENARIOS = (
@@ -203,7 +202,7 @@ def test_random_netlists_transition_equivalence(seed):
 
 # ----------------------------------------------------------------------
 # Fault dropping: neutral within a call, cumulative across calls,
-# identical across engines and shard geometries.
+# identical across engines.
 # ----------------------------------------------------------------------
 
 
@@ -250,96 +249,49 @@ def test_predetected_faults_are_credited_not_resimulated(fwd_port):
     assert credited.detected_faults == len(faults)
 
 
-@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_sharded_dropping_matches_serial(fwd_port, num_shards):
-    netlist, patterns, _ = fwd_port
-    faults = enumerate_faults(netlist)
-    serial_set = DropSet()
-    serial = fault_simulate(netlist, patterns, faults, dropped=serial_set)
-    sharded_set = DropSet()
-    sharded = parallel_fault_simulate(
-        netlist, patterns, faults,
-        workers=1, num_shards=num_shards, dropped=sharded_set,
-    )
-    assert as_tuple(sharded) == as_tuple(serial)
-    assert sharded_set.detected == serial_set.detected
-
-
 # ----------------------------------------------------------------------
-# Campaign layer: engine choice never moves coverage or signatures,
-# and a killed campaign may resume under the other engine.
+# Campaign layer: the engine never moves coverage or signatures.
 # ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def interpreted_campaign(tmp_path_factory):
-    path = tmp_path_factory.mktemp("interpreted") / "campaign.json"
-    return run_checkpointed_campaign(
-        small_provider()(),
-        SCENARIOS,
-        DEFAULT_CAMPAIGN_MODELS,
-        path,
-        modules=("FWD",),
-        engine="interpreted",
-    )
 
 
 def outcome_dicts(outcomes):
     return {label: outcome.to_dict() for label, outcome in outcomes.items()}
 
 
-def test_campaign_engines_agree(interpreted_campaign, tmp_path):
-    result = run_parallel_checkpointed_campaign(
-        small_provider(),
+def test_campaign_outcomes_are_engine_independent(tmp_path, monkeypatch):
+    """Grade the same campaign with the compiled kernel, then with the
+    interpreted reference path patched in at the campaign's kernel
+    seam (the module globals its graders call): the outcome dicts,
+    signatures included, must be equal."""
+    modules = ("FWD", "FWD-TDF")
+    compiled = run_checkpointed_campaign(
+        small_provider()(),
         SCENARIOS,
         DEFAULT_CAMPAIGN_MODELS,
-        tmp_path / "compiled",
-        modules=("FWD",),
-        workers=1,
-        engine="compiled",
+        tmp_path / "compiled.json",
+        modules=modules,
     )
-    assert outcome_dicts(result.outcomes) == outcome_dicts(interpreted_campaign)
-    for label, outcome in result.outcomes.items():
-        assert outcome.signatures == interpreted_campaign[label].signatures
+    monkeypatch.setattr(
+        campaign,
+        "fault_simulate",
+        functools.partial(fault_simulate, engine="interpreted"),
+    )
+    monkeypatch.setattr(
+        campaign,
+        "transition_fault_simulate",
+        functools.partial(transition_fault_simulate, engine="interpreted"),
+    )
+    interpreted = run_checkpointed_campaign(
+        small_provider()(),
+        SCENARIOS,
+        DEFAULT_CAMPAIGN_MODELS,
+        tmp_path / "interpreted.json",
+        modules=modules,
+    )
+    assert outcome_dicts(interpreted) == outcome_dicts(compiled)
+    for outcome in compiled.values():
         assert outcome.signatures  # actually recorded, not vacuous
-
-
-def test_campaign_resume_switches_engines(interpreted_campaign, tmp_path):
-    """Kill a compiled campaign after its first shard, resume it
-    interpreted: bit-identical engines make the switch legal, and the
-    merged outcomes must equal the serial interpreted reference."""
-
-    class Killed(RuntimeError):
-        pass
-
-    def kill_after_first_shard(index, outcomes):
-        raise Killed(f"killed after shard {index}")
-
-    directory = tmp_path / "switch"
-    with pytest.raises(Killed):
-        run_parallel_checkpointed_campaign(
-            small_provider(),
-            SCENARIOS,
-            DEFAULT_CAMPAIGN_MODELS,
-            directory,
-            modules=("FWD",),
-            workers=1,
-            num_shards=2,
-            engine="compiled",
-            on_shard=kill_after_first_shard,
-        )
-    resumed = run_parallel_checkpointed_campaign(
-        small_provider(),
-        SCENARIOS,
-        DEFAULT_CAMPAIGN_MODELS,
-        directory,
-        modules=("FWD",),
-        workers=1,
-        engine="interpreted",
-    )
-    # The resume ran strictly fewer shards than the plan holds.
-    assert len(resumed.scheduled) < resumed.num_shards
-    assert outcome_dicts(resumed.outcomes) == outcome_dicts(interpreted_campaign)
+        assert all(c["detected_faults"] for c in outcome.coverages)
 
 
 # ----------------------------------------------------------------------

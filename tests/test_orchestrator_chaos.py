@@ -1,9 +1,9 @@
 """Chaos-injection proof of the supervised orchestrator's contract.
 
-The invariant under test: a campaign or fault-simulation run under
-injected infrastructure failure — worker kills, transient exceptions,
-hung shards, corrupted checkpoint bytes — merges to results
-**bit-identical** to a clean run whenever no shard ends quarantined.
+The invariant under test: a campaign run under injected infrastructure
+failure — worker kills, transient exceptions, hung shards, corrupted
+checkpoint bytes — merges to results **bit-identical** to a clean run
+whenever no shard ends quarantined.
 Retries, pool rebuilds and straggler re-dispatch are allowed to cost
 wall-clock; they are never allowed to change a number.
 
@@ -22,8 +22,7 @@ import json
 
 import pytest
 
-from repro.core.determinism import Scenario, run_scenario
-from repro.cpu.core import CORE_MODEL_A
+from repro.core.determinism import Scenario
 from repro.errors import (
     CheckpointCorruptionWarning,
     CheckpointError,
@@ -32,20 +31,14 @@ from repro.errors import (
 from repro.faults import (
     ChaosError,
     ChaosPolicy,
-    PartialCampaignResult,
+    ParallelCampaignResult,
     RetryPolicy,
     ShardChaos,
-    fault_simulate,
-    get_modules,
-    orchestrated_fault_simulate,
     run_parallel_checkpointed_campaign,
-    shard_faults,
 )
 from repro.faults.chaos import corrupt_file
-from repro.faults.observability import forwarding_pattern_sets
 from repro.faults.orchestrator import ORCHESTRATION_REPORT_NAME, OrchestrationReport
 from repro.faults.parallel import MANIFEST_NAME
-from repro.faults.stuckat import enumerate_faults
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 from repro.telemetry.events import EventKind, RecordingSink
@@ -89,32 +82,6 @@ def campaign_reference(tmp_path_factory):
     return outcome_dicts(result)
 
 
-@pytest.fixture(scope="module")
-def fwd_port(tmp_path_factory):
-    """A real forwarding-port netlist + patterns and a clipped fault
-    list (keeps the engine matrix affordable on one CPU)."""
-    builders = small_provider()()
-    result = run_scenario(builders, SCENARIOS[0])
-    modules = get_modules(CORE_MODEL_A)
-    log = result.per_core[0].log
-    merged = forwarding_pattern_sets(log, modules)
-    port = sorted(merged)[0]
-    netlist, patterns = modules.forwarding[port], merged[port]
-    faults = enumerate_faults(netlist)[:400]
-    return netlist, patterns, faults
-
-
-@pytest.fixture(scope="module")
-def sim_reference(fwd_port):
-    netlist, patterns, faults = fwd_port
-    return {
-        engine: fault_simulate(
-            netlist, patterns, faults, engine=engine
-        ).to_dict()
-        for engine in ("compiled", "interpreted")
-    }
-
-
 def campaign_chaos(kind):
     """Shard-0 directive for one named campaign chaos case."""
     if kind == "transient":
@@ -149,7 +116,7 @@ def test_chaos_campaign_is_bit_identical(
     result = run_campaign(
         tmp_path / "campaign", chaos=chaos, policy=policy, workers=workers
     )
-    assert isinstance(result, PartialCampaignResult)
+    assert isinstance(result, ParallelCampaignResult)
     assert result.complete
     assert result.quarantined_shards == ()
     assert outcome_dicts(result) == campaign_reference
@@ -172,27 +139,6 @@ def test_chaos_campaign_is_bit_identical(
         assert result.report.pool_rebuilds >= 1
     if kind == "hang":
         assert result.report.stragglers >= 1
-
-
-@pytest.mark.parametrize("engine", ("compiled", "interpreted"))
-@pytest.mark.parametrize("kind", ("transient", "kill", "hang"))
-def test_chaos_faultsim_is_bit_identical(
-    fwd_port, sim_reference, engine, kind
-):
-    netlist, patterns, faults = fwd_port
-    directive = (
-        ShardChaos(kind="hang", failures=1, hang_seconds=30.0)
-        if kind == "hang"
-        else ShardChaos(kind=kind, failures=1)
-    )
-    res = orchestrated_fault_simulate(
-        netlist, patterns, faults, workers=2, num_shards=3,
-        policy=fast_policy(shard_timeout=2.0 if kind == "hang" else None),
-        chaos=ChaosPolicy({1: directive}),
-        engine=engine,
-    )
-    assert res.complete
-    assert res.result.to_dict() == sim_reference[engine]
 
 
 def test_chaos_decision_sequence_is_deterministic(
@@ -260,33 +206,6 @@ def test_poison_without_allow_partial_raises_orchestration_error(tmp_path):
         json.loads(report_path.read_text())
     )
     assert report.quarantined == [1]
-
-
-def test_poison_faultsim_reports_coverage_lower_bound(
-    fwd_port, sim_reference
-):
-    netlist, patterns, faults = fwd_port
-    chaos = ChaosPolicy({2: ShardChaos(kind="transient", failures=None)})
-    res = orchestrated_fault_simulate(
-        netlist, patterns, faults, workers=2, num_shards=3,
-        policy=fast_policy(max_retries=1, allow_partial=True),
-        chaos=chaos,
-    )
-    assert res.quarantined_shards == (2,)
-    lost = len(shard_faults(faults, 3)[2])
-    assert res.quarantined_faults == lost
-    # Same denominator as the clean run, detections only from the
-    # surviving shards: a floor, never an overstatement.
-    clean = sim_reference["compiled"]
-    assert res.result.total_faults == clean["total_faults"]
-    assert res.result.detected_faults <= clean["detected_faults"]
-
-    with pytest.raises(OrchestrationError, match="allow_partial"):
-        orchestrated_fault_simulate(
-            netlist, patterns, faults, workers=2, num_shards=3,
-            policy=fast_policy(max_retries=1),
-            chaos=chaos,
-        )
 
 
 # ----------------------------------------------------------------------
