@@ -6,8 +6,8 @@ buffers — but not one reported number may move.  These tests pin that
 contract against the interpreted reference path for the three fault
 models (uncollapsed stuck-at, weighted PPSFP, transition-delay), on
 both real module netlists and seeded random ones, with and without
-fault dropping, and end to end through a checkpointed campaign graded
-by each engine in turn.
+fault dropping (also carried across disjoint fault subsets), and end
+to end through a checkpointed campaign graded by each engine in turn.
 """
 
 import functools
@@ -26,6 +26,7 @@ from repro.faults import (
     fault_simulate,
     get_modules,
     run_checkpointed_campaign,
+    stable_shard_index,
 )
 from repro.faults.gates import UNARY, GateKind
 from repro.faults.netlist import Netlist
@@ -39,6 +40,7 @@ from repro.faults.transition import (
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 
+SHARD_COUNTS = (1, 2, 7, 16)
 SEEDS = tuple(range(6))
 
 SCENARIOS = (
@@ -202,7 +204,7 @@ def test_random_netlists_transition_equivalence(seed):
 
 # ----------------------------------------------------------------------
 # Fault dropping: neutral within a call, cumulative across calls,
-# identical across engines.
+# identical across engines and across fault-list splits.
 # ----------------------------------------------------------------------
 
 
@@ -249,6 +251,32 @@ def test_predetected_faults_are_credited_not_resimulated(fwd_port):
     assert credited.detected_faults == len(faults)
 
 
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_sharded_dropping_matches_serial(fwd_port, num_shards):
+    """Grading disjoint subsets of the fault list one after another
+    through one shared DropSet sums to the serial run and records the
+    same detected ids."""
+    netlist, patterns, _ = fwd_port
+    faults = enumerate_faults(netlist)
+    serial_set = DropSet()
+    serial = fault_simulate(netlist, patterns, faults, dropped=serial_set)
+    shards = [[] for _ in range(num_shards)]
+    for fault in faults:
+        shards[stable_shard_index(fault.stable_id, num_shards)].append(fault)
+    sharded_set = DropSet()
+    parts = [
+        fault_simulate(netlist, patterns, shard, dropped=sharded_set)
+        for shard in shards
+    ]
+    assert sum(part.total_faults for part in parts) == serial.total_faults
+    assert sum(part.detected_faults for part in parts) == serial.detected_faults
+    assert {(part.module, part.num_patterns) for part in parts} == {
+        (serial.module, serial.num_patterns)
+    }
+    assert len(sharded_set) == serial.detected_faults
+    assert sharded_set.detected == serial_set.detected
+
+
 # ----------------------------------------------------------------------
 # Campaign layer: the engine never moves coverage or signatures.
 # ----------------------------------------------------------------------
@@ -258,7 +286,7 @@ def outcome_dicts(outcomes):
     return {label: outcome.to_dict() for label, outcome in outcomes.items()}
 
 
-def test_campaign_outcomes_are_engine_independent(tmp_path, monkeypatch):
+def test_campaign_engines_agree(tmp_path, monkeypatch):
     """Grade the same campaign with the compiled kernel, then with the
     interpreted reference path patched in at the campaign's kernel
     seam (the module globals its graders call): the outcome dicts,
