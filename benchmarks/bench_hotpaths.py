@@ -35,7 +35,6 @@ from repro.faults.observability import (
 )
 from repro.faults.ppsfp import fault_simulate
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, standard_provider
-from repro.telemetry.metrics import MetricsCollector
 from repro.utils.tables import format_table
 
 MODULES = ("FWD", "HDCU", "ICU")
@@ -85,7 +84,6 @@ def sweep(items, engine):
 
 
 def test_compiled_kernel_speedup(emit):
-    metrics = MetricsCollector()
     cpus = os.cpu_count() or 1
 
     setup_start = time.perf_counter()
@@ -112,15 +110,9 @@ def test_compiled_kernel_speedup(emit):
             best = min(best, seconds)
             detected[engine] = count
         times[engine] = best
-        metrics.record_host(f"bench.hotpaths.{engine}.us", int(best * 1e6))
-        metrics.record_host(
-            f"bench.hotpaths.{engine}.evals_per_s",
-            int(gate_fault_evals / best),
-        )
     # Fast but wrong is just wrong.
     assert detected["compiled"] == detected["interpreted"]
     speedup = times["interpreted"] / times["compiled"]
-    metrics.record_host("bench.hotpaths.speedup_x1000", int(speedup * 1000))
 
     # Pool scaling of the campaign over the same scenario set.
     runs = []
@@ -134,12 +126,8 @@ def test_compiled_kernel_speedup(emit):
                 tmp,
                 modules=MODULES,
                 workers=workers,
-                metrics=metrics,
             )
             seconds = time.perf_counter() - start
-        metrics.record_host(
-            f"bench.hotpaths.campaign.w{workers}.us", int(seconds * 1e6)
-        )
         runs.append(
             {
                 "workers": workers,
@@ -166,7 +154,6 @@ def test_compiled_kernel_speedup(emit):
         "speedup": round(speedup, 3),
         "min_speedup": MIN_SPEEDUP,
         "compiled_campaign_runs": runs,
-        "host_metrics": metrics.snapshot().to_dict().get("host", {}),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

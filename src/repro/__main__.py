@@ -147,7 +147,6 @@ def _run_faultsim(argv: list[str]) -> int:
         small_provider,
         standard_provider,
     )
-    from repro.telemetry.metrics import MetricsCollector
     from repro.utils.tables import format_table
 
     parser = argparse.ArgumentParser(
@@ -227,24 +226,27 @@ def _run_faultsim(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the telemetry metrics (incl. per-shard timing) as JSON",
-    )
-    parser.add_argument(
         "--json",
         dest="json_out",
         default=None,
         help="write a machine-readable campaign summary as JSON",
     )
     args = parser.parse_args(argv)
+    for flag, value, least in (
+        ("--workers", args.workers, 1),
+        ("--shards", args.shards, 1),
+        ("--max-retries", args.max_retries, 0),
+    ):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
+    if args.shard_timeout is not None and args.shard_timeout <= 0:
+        parser.error(f"--shard-timeout must be > 0, got {args.shard_timeout}")
     modules = tuple(m.strip() for m in args.modules.split(",") if m.strip())
     unknown = [m for m in modules if m not in COVERAGE_GRADERS]
     if unknown:
         parser.error(f"unknown modules {unknown}; choices: {sorted(COVERAGE_GRADERS)}")
     provider = small_provider() if args.small else standard_provider()
     scenarios = default_scenarios()
-    metrics = MetricsCollector()
     workers = resolve_workers(args.workers)
     if workers != args.workers:
         print(
@@ -273,7 +275,6 @@ def _run_faultsim(argv: list[str]) -> int:
             modules=modules,
             workers=workers,
             num_shards=args.shards,
-            metrics=metrics,
             policy=policy,
         )
     elapsed = time.time() - start
@@ -368,9 +369,6 @@ def _run_faultsim(argv: list[str]) -> int:
         f"\n{len(result.outcomes)} scenarios, {len(result.scheduled)} shard(s) "
         f"executed in {elapsed:.1f}s wall-clock"
     )
-    if args.metrics_out:
-        metrics.snapshot().save(args.metrics_out)
-        print(f"wrote {args.metrics_out}")
     if args.json_out:
         payload = {
             "workers": workers,
@@ -380,6 +378,10 @@ def _run_faultsim(argv: list[str]) -> int:
             "elapsed_seconds": elapsed,
             "failed": failed,
             "coverage_ranges": summary,
+            "shards": [
+                {"index": t.index, "scenarios": t.items, "seconds": t.seconds}
+                for t in result.shard_timings
+            ],
         }
         if report is not None:
             payload["orchestration"] = report.to_dict()

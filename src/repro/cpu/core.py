@@ -467,11 +467,14 @@ class Core:
         for source in range(5):
             if source != int(res.select) and candidates[source] != chosen:
                 flip_mask |= 1 << source
+        producer_regs, producer_valid, producer_load_mask = (
+            self._producer_summary()
+        )
         self.log.hdcu.append(
             HdcuRecord(
                 consumer_reg=reg,
-                producer_regs=self._producer_regs(),
-                producer_valid=self._producer_valid(),
+                producer_regs=producer_regs,
+                producer_valid=producer_valid,
                 select=res.select,
                 stall=False,
                 flip_visible_mask=flip_mask,
@@ -479,7 +482,7 @@ class Core:
                 stall_observable=self.stall_observable and observable,
                 slot=slot,
                 operand=operand,
-                producer_load_mask=self._producer_load_mask(),
+                producer_load_mask=producer_load_mask,
             )
         )
 
@@ -492,52 +495,45 @@ class Core:
                 for uop in latch:
                     if not uop.result_ready and reg in uop.dests:
                         blocked = reg
+        producer_regs, producer_valid, producer_load_mask = (
+            self._producer_summary()
+        )
         self.log.hdcu.append(
             HdcuRecord(
                 consumer_reg=blocked,
-                producer_regs=self._producer_regs(),
-                producer_valid=self._producer_valid(),
+                producer_regs=producer_regs,
+                producer_valid=producer_valid,
                 select=FwdSource.RF,
                 stall=True,
                 flip_visible_mask=0,
                 observable=bool(self.testwin & 1),
                 stall_observable=self.stall_observable and bool(self.testwin & 1),
-                producer_load_mask=self._producer_load_mask(),
+                producer_load_mask=producer_load_mask,
             )
         )
 
-    def _producer_regs(self) -> tuple[int, int, int, int]:
-        regs = []
-        for latch in (self.memwb_latch, self.retire_latch):
-            for slot in (0, 1):
-                producer = next(
-                    (u for u in latch if u.slot == slot and u.dests), None
-                )
-                regs.append(producer.dests[0] if producer else 0)
-        return tuple(regs)
+    def _producer_summary(self) -> tuple[tuple[int, int, int, int], int, int]:
+        """``(producer_regs, producer_valid, producer_load_mask)`` in one
+        scan of the MEM/WB and retire latches.
 
-    def _producer_load_mask(self) -> int:
-        mask = 0
-        index = 0
-        for latch in (self.memwb_latch, self.retire_latch):
-            for slot in (0, 1):
-                if any(
-                    u.slot == slot and u.is_load and not u.result_ready
-                    for u in latch
-                ):
-                    mask |= 1 << index
-                index += 1
-        return mask
-
-    def _producer_valid(self) -> int:
-        mask = 0
-        index = 0
-        for latch in (self.memwb_latch, self.retire_latch):
-            for slot in (0, 1):
-                if any(u.slot == slot and u.dests for u in latch):
-                    mask |= 1 << index
-                index += 1
-        return mask
+        Position ``2 * latch + slot`` names one producer: its first
+        destination register (the first writing uop of that slot), a
+        valid bit when such a uop exists, and a load bit when a uop of
+        that slot is a load whose result is not ready yet.
+        """
+        regs = [0, 0, 0, 0]
+        valid = 0
+        loads = 0
+        for base, latch in ((0, self.memwb_latch), (2, self.retire_latch)):
+            for uop in latch:
+                index = base + uop.slot
+                bit = 1 << index
+                if uop.dests and not valid & bit:
+                    regs[index] = uop.dests[0]
+                    valid |= bit
+                if uop.is_load and not uop.result_ready:
+                    loads |= bit
+        return tuple(regs), valid, loads
 
     # ------------------------------------------------------------------
     # CSRs.

@@ -48,7 +48,7 @@ from __future__ import annotations
 from repro.errors import FaultModelError
 from repro.faults.netlist import Netlist
 
-__all__ = ["CompiledNetlist", "compile_netlist", "compiled_for"]
+__all__ = ["CompiledNetlist", "compiled_for"]
 
 #: Plain-int mirror of :class:`repro.faults.gates.GateKind` (the kernels
 #: compare against ints, never enum members).
@@ -58,9 +58,8 @@ _BUF, _NOT, _AND, _OR, _NAND, _NOR, _XOR, _XNOR = range(8)
 class CompiledNetlist:
     """A netlist lowered to flat arrays plus reusable kernel buffers.
 
-    Build through :func:`compile_netlist` (or the caching
-    :func:`compiled_for`); the constructor does the full lowering pass
-    and freezes the source netlist.
+    Build through the caching :func:`compiled_for`; the constructor does
+    the full lowering pass and freezes the source netlist.
     """
 
     __slots__ = (
@@ -288,27 +287,6 @@ class CompiledNetlist:
         observable = self.observable
         return all(observable[net] for net in observability)
 
-    def propagate(
-        self,
-        good: list[int],
-        site: int,
-        faulty_site_value: int,
-        mask: int,
-        obs: list,
-        truncated: bool = True,
-    ) -> bool:
-        """Cone-restricted single-fault propagation (one-shot form).
-
-        Same decision as the interpreted ``_propagate`` — True iff a
-        faulty/good difference reaches a net with an observability mask
-        on an observable pattern.  Loops over many faults of one pattern
-        set should use :meth:`propagator` instead, which binds the
-        per-call-invariant state once.
-        """
-        return self.propagator(good, mask, obs, truncated)(
-            site, faulty_site_value
-        )
-
     def propagator(
         self, good: list[int], mask: int, obs: list, truncated: bool = True
     ):
@@ -385,20 +363,6 @@ class CompiledNetlist:
             return False
 
         return propagate
-
-    def stats(self) -> str:
-        cones = len(self._cones) + len(self._full_cones)
-        return (
-            f"{self.netlist.name}: {self.num_gates} gates in "
-            f"{len(self.schedule)} level/kind batches, "
-            f"{sum(self.observable)}/{self.num_nets} observable nets, "
-            f"{cones} cached cones"
-        )
-
-
-def compile_netlist(netlist: Netlist) -> CompiledNetlist:
-    """Lower ``netlist`` to a fresh :class:`CompiledNetlist` (freezes it)."""
-    return CompiledNetlist(netlist)
 
 
 def compiled_for(netlist: Netlist) -> CompiledNetlist:

@@ -42,11 +42,10 @@ serial campaign.  The loop's dispatch rule:
     :class:`~repro.errors.OrchestrationError` when the caller did not
     opt into partial completion.
 
-Every supervised decision emits a typed telemetry event
-(``shard.retry``, ``shard.straggler``, ``shard.quarantine``,
-``pool.rebuild``) through the :class:`~repro.telemetry.events.EventSink`
-contract, and a structured :class:`OrchestrationReport` lands next to
-the campaign's checkpoint manifest.
+Every supervised decision is recorded once, in the structured
+:class:`OrchestrationReport` that lands next to the campaign's
+checkpoint manifest; it and the :class:`ParallelCampaignResult` are the
+run's only record.
 
 The headline invariant, enforced by the chaos suite
 (``tests/test_orchestrator_chaos.py`` with :mod:`repro.faults.chaos`):
@@ -74,7 +73,6 @@ from repro.faults.parallel import (
     _merge_campaign_outcomes,
     _prepare_campaign,
 )
-from repro.telemetry.events import NULL_SINK, EventKind
 
 __all__ = [
     "ORCHESTRATION_REPORT_NAME",
@@ -300,20 +298,13 @@ class ParallelCampaignResult:
     def complete(self) -> bool:
         return not self.quarantined_shards
 
-    def coverage_dicts(self) -> dict[str, list[dict]]:
-        """Scenario label -> coverage dict list (comparison helper)."""
-        return {
-            label: outcome.coverages
-            for label, outcome in sorted(self.outcomes.items())
-        }
-
 
 # ----------------------------------------------------------------------
 # The shard body: what one dispatched shard runs, in a worker or inline.
 # ----------------------------------------------------------------------
 
 def _campaign_shard_worker(spec: dict):
-    """Run one scenario shard to completion.
+    """Run one scenario shard to completion: ``(outcomes, seconds)``.
 
     Rebuilds the program builders from the provider, then delegates to
     the serial supervised campaign with the shard's own checkpoint file
@@ -340,11 +331,7 @@ def _campaign_shard_worker(spec: dict):
         audit=spec["audit"],
         on_scenario=on_scenario,
     )
-    return (
-        spec["index"],
-        {label: outcome.to_dict() for label, outcome in outcomes.items()},
-        time.perf_counter() - start,
-    )
+    return outcomes, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -375,30 +362,27 @@ class _ShardState:
 
 def _supervise(
     indices,
-    submit,
-    run_inline,
+    spec_for,
     workers: int,
     policy: RetryPolicy | None,
-    telemetry,
     report: OrchestrationReport,
     on_complete,
 ) -> None:
     """Run every shard in ``indices`` to done (or quarantined).
 
-    ``submit(pool, index, attempt)`` dispatches one shard attempt into
-    the pool; ``run_inline(index, attempt)`` runs it in this process —
-    the whole run when ``workers == 1`` and ``policy`` is None, and the
-    supervised run's degraded endgame; ``on_complete(index, raw)``
-    receives each shard's raw return exactly once.  Without a policy the
-    first shard exception propagates unchanged (after the pool is torn
-    down).  The caller merges results in shard order afterwards, so
-    completion order — the one thing chaos *does* perturb — never
-    reaches a result.
+    ``spec_for(index, attempt, in_process)`` is the picklable work order
+    of one shard attempt; this loop runs it through the pool, or in this
+    process — the whole run when ``workers == 1`` and ``policy`` is
+    None, and the supervised run's degraded endgame.
+    ``on_complete(index, outcomes, seconds)`` receives each shard's
+    result exactly once.  Without a policy the first shard exception
+    propagates unchanged (after the pool is torn down).  The caller
+    merges results in shard order afterwards, so completion order — the
+    one thing chaos *does* perturb — never reaches a result.
     """
     states = {index: _ShardState(index) for index in indices}
     if not states:
         return
-    sink = telemetry if telemetry is not None else NULL_SINK
     pool: ProcessPoolExecutor | None = None
     #: Future -> (state, attempt, submitted_at, isolated)
     in_flight: dict = {}
@@ -413,6 +397,9 @@ def _supervise(
         return [
             s for s in states.values() if not s.done and not s.quarantined
         ]
+
+    def flying():
+        return [state for state, _, _, _ in in_flight.values()]
 
     def new_pool():
         nonlocal pool
@@ -443,23 +430,26 @@ def _supervise(
                 pass
         pool = None
 
-    def rebuild_pool(reason: str):
+    def restart_pool(suspects):
+        """Abandon everything in flight, marking ``suspects`` for
+        isolated re-runs, and rebuild the pool — or degrade to serial."""
         nonlocal serial
+        for state in suspects:
+            state.suspect = True
+        in_flight.clear()
+        running_since.clear()
         kill_pool()
         report.pool_rebuilds += 1
-        if sink.enabled:
-            sink.emit(
-                EventKind.POOL_REBUILD,
-                reason=reason,
-                rebuilds=report.pool_rebuilds,
-            )
         if report.pool_rebuilds > policy.max_pool_rebuilds:
             serial = True
             report.degraded_serial = True
         else:
             new_pool()
 
-    def record_success(state, attempt, seconds, raw, in_process=False):
+    def nap(wake, now):
+        time.sleep(min(max(0.0, wake - now), max(policy.poll_interval, 0.01)))
+
+    def record_success(state, attempt, seconds, result, in_process=False):
         report.attempts.append(
             ShardAttempt(
                 shard=state.index,
@@ -471,72 +461,41 @@ def _supervise(
         )
         state.done = True
         state.suspect = False
-        on_complete(state.index, raw)
+        on_complete(state.index, *result)
 
     def record_failure(state, status, error, seconds, in_process=False):
         state.failures += 1
-        failure = state.failures
         report.backoff.setdefault(
             state.index, policy.backoff_schedule(state.index)
         )
-        if failure > policy.max_retries:
-            state.quarantined = True
-            report.attempts.append(
-                ShardAttempt(
-                    shard=state.index,
-                    attempt=failure,
-                    status=status,
-                    error=error,
-                    seconds=seconds,
-                    in_process=in_process,
-                )
-            )
-            report.quarantined.append(state.index)
-            if sink.enabled:
-                sink.emit(
-                    EventKind.SHARD_QUARANTINE,
-                    shard=state.index,
-                    attempts=failure,
-                    error=error,
-                )
-            return
-        delay = policy.backoff_delay(state.index, failure)
-        state.ready_at = time.monotonic() + delay
-        report.attempts.append(
-            ShardAttempt(
-                shard=state.index,
-                attempt=failure,
-                status=status,
-                error=error,
-                seconds=seconds,
-                backoff=delay,
-                in_process=in_process,
-            )
+        attempt = ShardAttempt(
+            shard=state.index,
+            attempt=state.failures,
+            status=status,
+            error=error,
+            seconds=seconds,
+            in_process=in_process,
         )
-        if sink.enabled:
-            sink.emit(
-                EventKind.SHARD_RETRY,
-                shard=state.index,
-                attempt=failure,
-                delay=delay,
-                error=error,
-            )
+        report.attempts.append(attempt)
+        if state.failures > policy.max_retries:
+            state.quarantined = True
+            report.quarantined.append(state.index)
+            return
+        attempt.backoff = policy.backoff_delay(state.index, state.failures)
+        state.ready_at = time.monotonic() + attempt.backoff
 
     def try_submit(state, isolated: bool) -> bool:
         attempt = state.failures + 1
         try:
-            future = submit(pool, state.index, attempt)
+            future = pool.submit(
+                _campaign_shard_worker, spec_for(state.index, attempt, False)
+            )
         except Exception:
             if policy is None:
                 raise
             # The pool died between our last look and this submit; the
             # guilty party is someone already in flight, not this shard.
-            for flying_state, _, _, _ in in_flight.values():
-                flying_state.suspect = True
-            state.suspect = True
-            in_flight.clear()
-            running_since.clear()
-            rebuild_pool("submit-failed")
+            restart_pool(flying() + [state])
             return False
         in_flight[future] = (state, attempt, time.monotonic(), isolated)
         return True
@@ -554,7 +513,9 @@ def _supervise(
                 attempt = state.failures + 1
                 start = time.perf_counter()
                 try:
-                    raw = run_inline(state.index, attempt)
+                    result = _campaign_shard_worker(
+                        spec_for(state.index, attempt, True)
+                    )
                 except Exception as exc:
                     if policy is None:
                         raise
@@ -567,7 +528,7 @@ def _supervise(
                     )
                 else:
                     record_success(
-                        state, attempt, time.perf_counter() - start, raw,
+                        state, attempt, time.perf_counter() - start, result,
                         in_process=True,
                     )
 
@@ -582,8 +543,8 @@ def _supervise(
                 run_serial()
                 break
             now = time.monotonic()
-            flying = {state.index for state, _, _, _ in in_flight.values()}
-            idle = [s for s in remaining if s.index not in flying]
+            busy = {state.index for state in flying()}
+            idle = [s for s in remaining if s.index not in busy]
             if any(s.suspect for s in remaining):
                 # Isolation mode: one suspect at a time, nothing else in
                 # flight, so the next pool break is attributable.
@@ -596,15 +557,7 @@ def _supervise(
                         if not try_submit(ready[0], isolated=True):
                             continue
                     else:
-                        wake = min(
-                            s.ready_at for s in idle if s.suspect
-                        )
-                        time.sleep(
-                            min(
-                                max(0.0, wake - now),
-                                max(policy.poll_interval, 0.01),
-                            )
-                        )
+                        nap(min(s.ready_at for s in idle if s.suspect), now)
                         continue
             else:
                 dispatched_ok = True
@@ -621,13 +574,7 @@ def _supervise(
                 # Everything alive is waiting out a backoff window.
                 waiting = [s for s in incomplete() if s.ready_at > now]
                 if waiting:
-                    wake = min(s.ready_at for s in waiting)
-                    time.sleep(
-                        min(
-                            max(0.0, wake - now),
-                            max(policy.poll_interval, 0.01),
-                        )
-                    )
+                    nap(min(s.ready_at for s in waiting), now)
                 continue
             done, _ = wait(
                 set(in_flight),
@@ -640,7 +587,7 @@ def _supervise(
                 state, attempt, submitted, isolated = in_flight.pop(future)
                 seconds = now - running_since.pop(future, submitted)
                 try:
-                    raw = future.result()
+                    result = future.result()
                 except BrokenProcessPool as exc:
                     if policy is None:
                         raise
@@ -652,7 +599,7 @@ def _supervise(
                             f"{type(exc).__name__}: {exc}",
                             seconds,
                         )
-                        rebuild_pool("isolated-break")
+                        restart_pool(())
                     else:
                         state.suspect = True
                         broken = True
@@ -669,15 +616,11 @@ def _supervise(
                         seconds,
                     )
                 else:
-                    record_success(state, attempt, seconds, raw)
+                    record_success(state, attempt, seconds, result)
             if broken:
                 # The pool is condemned: everyone still in flight is a
                 # suspect (uncharged) and will re-run in isolation.
-                for state, _, _, _ in in_flight.values():
-                    state.suspect = True
-                in_flight.clear()
-                running_since.clear()
-                rebuild_pool("broken")
+                restart_pool(flying())
                 continue
             # Straggler detection: deadlines accrue only while the
             # future is actually *running* — a shard queued behind a
@@ -695,13 +638,6 @@ def _supervise(
                 if overdue:
                     report.stragglers += len(overdue)
                     for future, state in overdue:
-                        if sink.enabled:
-                            sink.emit(
-                                EventKind.SHARD_STRAGGLER,
-                                shard=state.index,
-                                seconds=now - running_since[future],
-                                deadline=timeout,
-                            )
                         record_failure(
                             state,
                             "timeout",
@@ -711,46 +647,10 @@ def _supervise(
                     # The only way to stop a running future is to kill
                     # its pool; innocents re-dispatch uncharged and
                     # unsuspected (the cause is known: not them).
-                    in_flight.clear()
-                    running_since.clear()
-                    rebuild_pool("straggler")
+                    restart_pool(())
     finally:
         kill_pool()
     report.quarantined.sort()
-
-
-def _record_shard_metrics(metrics, timings: list[ShardTiming]) -> None:
-    if metrics is None:
-        return
-    prefix = "faultsim.campaign"
-    for timing in timings:
-        metrics.record_host(f"{prefix}.shard{timing.index}.items", timing.items)
-        metrics.record_host(
-            f"{prefix}.shard{timing.index}.us", int(timing.seconds * 1e6)
-        )
-    metrics.record_host(f"{prefix}.shards", len(timings))
-    metrics.record_host(f"{prefix}.items", sum(t.items for t in timings))
-    metrics.record_host(
-        f"{prefix}.us", int(sum(t.seconds for t in timings) * 1e6)
-    )
-
-
-def _record_orchestrator_metrics(metrics, report: OrchestrationReport) -> None:
-    if metrics is None:
-        return
-    failures = sum(1 for a in report.attempts if a.status != "ok")
-    metrics.record_host("faultsim.orchestrator.attempts", len(report.attempts))
-    metrics.record_host("faultsim.orchestrator.failures", failures)
-    metrics.record_host(
-        "faultsim.orchestrator.quarantined", len(report.quarantined)
-    )
-    metrics.record_host(
-        "faultsim.orchestrator.pool_rebuilds", report.pool_rebuilds
-    )
-    metrics.record_host("faultsim.orchestrator.stragglers", report.stragglers)
-    metrics.record_host(
-        "faultsim.orchestrator.degraded_serial", int(report.degraded_serial)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -769,11 +669,9 @@ def run_parallel_checkpointed_campaign(
     max_cycles: int = 4_000_000,
     retries: int = 1,
     audit: bool = False,
-    metrics=None,
     on_shard=None,
     policy: RetryPolicy | None = None,
     chaos=None,
-    telemetry=None,
 ) -> ParallelCampaignResult:
     """Sharded :func:`~repro.faults.campaign.run_checkpointed_campaign`.
 
@@ -799,8 +697,7 @@ def run_parallel_checkpointed_campaign(
     Dispatch follows the module's rule: in this process at
     ``workers=1`` without a policy, over a process pool otherwise.
     ``on_shard(index, outcomes)`` fires in the parent as each shard
-    completes (kill-injection hook); ``metrics`` receives per-shard
-    timing/throughput host counters.
+    completes (kill-injection hook).
 
     Without ``policy`` the first shard exception propagates unchanged;
     every scenario a shard checkpointed before it failed stays on disk
@@ -816,15 +713,13 @@ def run_parallel_checkpointed_campaign(
     :class:`~repro.errors.OrchestrationError` unless
     ``policy.allow_partial``, in which case the result's quarantine
     roster makes the loss explicit.  ``chaos`` (failure injection for
-    tests) and ``telemetry`` (event sink for ``shard.retry``/
-    ``pool.rebuild``/... events) require a policy.
+    tests) requires a policy.
     """
-    if policy is None and (chaos is not None or telemetry is not None):
+    if policy is None and chaos is not None:
         raise CheckpointError(
-            "chaos/telemetry require a RetryPolicy (the supervised path); "
-            "an unsupervised campaign has no failure handling to observe"
+            "chaos runs require a RetryPolicy (the supervised path); "
+            "an unsupervised campaign has no failure handling to exercise"
         )
-    scenarios = tuple(scenarios)
     directory, plan, labels, shard_scenarios, completed, scheduled = (
         _prepare_campaign(scenarios, modules, checkpoint_dir, workers, num_shards)
     )
@@ -852,20 +747,8 @@ def run_parallel_checkpointed_campaign(
             "audit": audit,
         }
 
-    def submit(pool, index, attempt):
-        return pool.submit(
-            _campaign_shard_worker, spec_for(index, attempt, False)
-        )
-
-    def run_inline(index, attempt):
-        return _campaign_shard_worker(spec_for(index, attempt, True))
-
-    def on_complete(index, raw):
-        _, outcomes, seconds = raw
-        completed[index] = {
-            label: ScenarioOutcome.from_dict(data)
-            for label, data in outcomes.items()
-        }
+    def on_complete(index, outcomes, seconds):
+        completed[index] = outcomes
         timings.append(
             ShardTiming(
                 index=index,
@@ -874,12 +757,9 @@ def run_parallel_checkpointed_campaign(
             )
         )
         if on_shard is not None:
-            on_shard(index, completed[index])
+            on_shard(index, outcomes)
 
-    _supervise(
-        scheduled, submit, run_inline, workers, policy, telemetry,
-        report, on_complete,
-    )
+    _supervise(scheduled, spec_for, workers, policy, report, on_complete)
 
     quarantined_shards = tuple(report.quarantined)
     quarantined_labels = tuple(
@@ -888,12 +768,7 @@ def run_parallel_checkpointed_campaign(
         for label in plan.labels[index]
     )
     timings.sort(key=lambda t: t.index)
-    _record_shard_metrics(metrics, timings)
-    if metrics is not None:
-        metrics.record_host("faultsim.campaign.scenarios", len(scenarios))
-        metrics.record_host("faultsim.campaign.workers", workers)
     if policy is not None:
-        _record_orchestrator_metrics(metrics, report)
         report.save(directory / ORCHESTRATION_REPORT_NAME)
     if quarantined_shards and not policy.allow_partial:
         raise OrchestrationError(

@@ -213,15 +213,16 @@ def _prepare_campaign(
         raise CheckpointError("duplicate scenario labels in campaign")
     if workers < 1:
         raise CheckpointError(f"workers must be >= 1, got {workers}")
+    if num_shards is not None and num_shards < 1:
+        raise CheckpointError(f"num_shards must be >= 1, got {num_shards}")
     directory = Path(checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / MANIFEST_NAME
     plan = _load_manifest(manifest_path)
     if plan is None:
-        plan = plan_campaign_shards(
-            scenarios, modules,
-            num_shards or max(1, min(len(scenarios), 4 * workers)),
-        )
+        if num_shards is None:
+            num_shards = max(1, min(len(scenarios), 4 * workers))
+        plan = plan_campaign_shards(scenarios, modules, num_shards)
         _save_manifest(manifest_path, plan)
     else:
         if plan.modules != tuple(modules):

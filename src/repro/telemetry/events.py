@@ -58,13 +58,6 @@ class EventKind(str, enum.Enum):
     SUPERVISOR_QUARANTINE = "supervisor.quarantine"
     # Seeded disturbances (repro.faults.soft_errors).
     FAULT_INJECTION = "fault.injection"
-    # Supervised campaign orchestration (repro.faults.orchestrator).
-    # These are host-side events: the stamp is the orchestrator clock
-    # (0 unless a caller binds one), not a simulated SoC cycle.
-    SHARD_RETRY = "shard.retry"
-    SHARD_STRAGGLER = "shard.straggler"
-    SHARD_QUARANTINE = "shard.quarantine"
-    POOL_REBUILD = "pool.rebuild"
 
 
 @dataclass(frozen=True, slots=True)

@@ -61,14 +61,10 @@ class MetricsView:
     ``counts`` maps ``(core, phase) -> {metric: value}`` where bus
     metrics are named ``bus.<metric>`` and cache metrics
     ``<cache>.<metric>`` (cache names come from ``CacheConfig.name``).
-    ``host`` carries host-side counters that belong to no simulated
-    core or phase — e.g. the sharded campaign's per-shard timing and
-    throughput (``faultsim.*``).
     """
 
-    def __init__(self, counts: dict, host: dict | None = None):
+    def __init__(self, counts: dict):
         self.counts = counts
-        self.host = host or {}
 
     # -- interval arithmetic -------------------------------------------
 
@@ -84,12 +80,7 @@ class MetricsView:
             }
             if diff:
                 result[key] = diff
-        host = {
-            name: value - since.host.get(name, 0)
-            for name, value in self.host.items()
-            if value - since.host.get(name, 0)
-        }
-        return MetricsView(result, host)
+        return MetricsView(result)
 
     # -- lookups --------------------------------------------------------
 
@@ -111,20 +102,6 @@ class MetricsView:
             for (key_core, _), metrics in self.counts.items()
             if key_core == core
         )
-
-    def host_subset(self, prefix: str) -> dict[str, int]:
-        """Host counters under a dotted prefix, with the prefix stripped.
-
-        ``host_subset("faultsim.orchestrator")`` returns e.g.
-        ``{"attempts": 5, "failures": 1, ...}`` — the shape reports and
-        tests want, without every consumer re-implementing the split.
-        """
-        lead = prefix.rstrip(".") + "."
-        return {
-            name[len(lead):]: value
-            for name, value in sorted(self.host.items())
-            if name.startswith(lead)
-        }
 
     def cache_names(self) -> tuple[str, ...]:
         names = sorted(
@@ -148,12 +125,7 @@ class MetricsView:
     # -- export ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-ready nested form: core -> phase -> metric -> value.
-
-        Host-side counters, when present, appear under the reserved
-        ``"host"`` key (absent otherwise, so pre-existing consumers see
-        an unchanged shape).
-        """
+        """JSON-ready nested form: core -> phase -> metric -> value."""
         nested: dict = {}
         for (core, phase), metrics in sorted(
             self.counts.items(),
@@ -161,8 +133,6 @@ class MetricsView:
         ):
             label = "unattributed" if core is None else f"core{core}"
             nested.setdefault(label, {})[phase] = dict(sorted(metrics.items()))
-        if self.host:
-            nested["host"] = dict(sorted(self.host.items()))
         return nested
 
     def save(self, path: str | Path) -> None:
@@ -212,17 +182,6 @@ class MetricsView:
                     title="Cache activity by core and STL phase",
                 )
             )
-        if self.host:
-            sections.append(
-                format_table(
-                    ("counter", "value"),
-                    [
-                        (name, f"{value:,}")
-                        for name, value in sorted(self.host.items())
-                    ],
-                    title="Host-side counters",
-                )
-            )
         if not sections:
             return "(no telemetry metrics recorded)"
         return "\n\n".join(sections)
@@ -234,19 +193,6 @@ class MetricsCollector:
     def __init__(self):
         self._tracker = PhaseTracker()
         self._counts: dict = {}
-        self._host: dict[str, int] = {}
-
-    def record_host(self, metric: str, amount: int = 1) -> None:
-        """Accumulate a host-side counter (no core, no phase).
-
-        The out-of-band entry point for instrumentation that runs on
-        the host rather than in the simulated SoC — the sharded
-        campaign records per-shard wall-clock and throughput here,
-        keeping the (core, phase) space reserved for simulated activity.
-        """
-        if amount == 0:
-            return
-        self._host[metric] = self._host.get(metric, 0) + amount
 
     def _bump(self, core: int | None, metric: str, amount: int = 1) -> None:
         if amount == 0:
@@ -282,14 +228,6 @@ class MetricsCollector:
             self._bump(core, "supervisor.retries")
         elif kind is EventKind.SUPERVISOR_QUARANTINE:
             self._bump(core, "supervisor.quarantines")
-        elif kind is EventKind.SHARD_RETRY:
-            self.record_host("orchestrator.shard_retries")
-        elif kind is EventKind.SHARD_STRAGGLER:
-            self.record_host("orchestrator.stragglers")
-        elif kind is EventKind.SHARD_QUARANTINE:
-            self.record_host("orchestrator.quarantines")
-        elif kind is EventKind.POOL_REBUILD:
-            self.record_host("orchestrator.pool_rebuilds")
         else:
             # Phase-transition events carry no counters of their own.
             self._tracker.on_event(event)
@@ -297,14 +235,13 @@ class MetricsCollector:
     def snapshot(self) -> MetricsView:
         """A frozen copy of the counters accumulated so far."""
         return MetricsView(
-            {key: dict(metrics) for key, metrics in self._counts.items()},
-            dict(self._host),
+            {key: dict(metrics) for key, metrics in self._counts.items()}
         )
 
     # Convenience pass-throughs so a collector can be used directly
     # where a view is expected (reads see the live counters).
     def view(self) -> MetricsView:
-        return MetricsView(self._counts, self._host)
+        return MetricsView(self._counts)
 
     def render(self) -> str:
         return self.snapshot().render()

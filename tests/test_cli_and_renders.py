@@ -1,5 +1,7 @@
 """Tests of the CLI entry point and the experiment result renderers."""
 
+import json
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
@@ -33,6 +35,38 @@ def test_cli_runs_fig1(capsys):
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["table9"])
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--workers", "0"],
+        ["--shards", "0"],
+        ["--max-retries", "-1"],
+        ["--shard-timeout", "0"],
+    ),
+    ids=("workers", "shards", "max-retries", "shard-timeout"),
+)
+def test_faultsim_rejects_out_of_range_flags(flags, capsys):
+    # A usage error (exit 2), not exit 1, which means "scenarios failed".
+    with pytest.raises(SystemExit) as excinfo:
+        main(["faultsim", "--small", *flags])
+    assert excinfo.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_faultsim_json_summary(tmp_path):
+    path = tmp_path / "faultsim.json"
+    argv = ["faultsim", "--small", "--workers", "1", "--modules", "FWD"]
+    assert main([*argv, "--json", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    assert set(payload) == {
+        "workers", "num_shards", "scenarios", "modules", "elapsed_seconds",
+        "failed", "coverage_ranges", "shards",
+    }
+    assert sum(shard["scenarios"] for shard in payload["shards"]) == 18
+    assert payload["coverage_ranges"]
+    assert all(entry["stable"] for entry in payload["coverage_ranges"])
 
 
 def test_paper_reference_values_complete():

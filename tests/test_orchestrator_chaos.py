@@ -41,8 +41,6 @@ from repro.faults.orchestrator import ORCHESTRATION_REPORT_NAME, OrchestrationRe
 from repro.faults.parallel import MANIFEST_NAME
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
-from repro.telemetry.events import EventKind, RecordingSink
-from repro.telemetry.metrics import MetricsCollector
 
 SCENARIOS = (
     Scenario((0, 1), CodePosition.LOW, CodeAlignment.QWORD),
@@ -294,34 +292,24 @@ def test_backoff_grows_and_respects_cap():
 
 
 # ----------------------------------------------------------------------
-# Telemetry + report plumbing.
+# The orchestration report: the run's one record of its decisions.
 # ----------------------------------------------------------------------
 
 
-def test_orchestrator_emits_typed_events_and_metrics(tmp_path):
-    metrics = MetricsCollector()
-    sink = RecordingSink(subscribers=(metrics,))
+def test_report_records_retry_and_quarantine(tmp_path):
     chaos = ChaosPolicy({0: ShardChaos(kind="transient", failures=None)})
     result = run_campaign(
         tmp_path / "campaign",
         chaos=chaos,
         policy=fast_policy(max_retries=1, allow_partial=True),
-        telemetry=sink,
-        metrics=metrics,
     )
-    kinds = [event.kind for event in sink.events]
-    assert kinds.count(EventKind.SHARD_RETRY) == 1
-    assert kinds.count(EventKind.SHARD_QUARANTINE) == 1
-    retry = next(e for e in sink.events if e.kind is EventKind.SHARD_RETRY)
-    assert retry.fields["shard"] == 0
-    assert retry.fields["delay"] > 0.0
-    host = metrics.snapshot().host_subset("faultsim.orchestrator")
-    assert host["attempts"] == len(result.report.attempts)
-    assert host["quarantined"] == 1
-    # The event-driven counters agree with the report.
-    event_host = metrics.snapshot().host_subset("orchestrator")
-    assert event_host["shard_retries"] == 1
-    assert event_host["quarantines"] == 1
+    report = result.report
+    shard0 = sorted(
+        (a for a in report.attempts if a.shard == 0), key=lambda a: a.attempt
+    )
+    assert [a.status for a in shard0] == ["error", "error"]
+    assert shard0[0].backoff > 0.0
+    assert report.quarantined == [0]
 
 
 def test_report_round_trips_and_lands_on_disk(tmp_path):

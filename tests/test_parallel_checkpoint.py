@@ -304,6 +304,14 @@ def test_resume_rejects_conflicting_shard_count(tmp_path):
         run_small(directory, modules=("FWD",), workers=1, num_shards=5)
 
 
+def test_zero_shards_is_rejected_not_defaulted(tmp_path):
+    directory = tmp_path / "campaign"
+    with pytest.raises(CheckpointError, match="num_shards must be >= 1"):
+        run_small(directory, modules=("FWD",), workers=1, num_shards=0)
+    # Rejected before anything is planned, simulated or written.
+    assert not (directory / MANIFEST_NAME).exists()
+
+
 def test_resume_rejects_different_modules(tmp_path):
     directory = tmp_path / "campaign"
     run_small(directory, modules=("FWD",), workers=1, num_shards=2)
