@@ -9,15 +9,24 @@ is reduced to one blake2b digest of its canonical form and compared
 against ``pattern_digests.json``.  A change to extraction alone must
 reproduce these digests bit for bit.
 
-Regenerate the pinned file only in a change meant to alter simulated
-results (the activation logs themselves)::
+The same simulation is also the simulator's timing oracle: for every
+active core, ``timing_digests.json`` pins the signature and mailbox, the
+cycle and IF/MEM/hazard stall counters, the scenario's total cycles and
+a digest of the whole activation log (every record in order, fields by
+name, enums as ints).  A change to the simulator's speed alone must
+reproduce these bit for bit.
+
+Regenerate the pinned files only in a change meant to alter simulated
+results (timing or the activation logs themselves)::
 
     PYTHONPATH=src python tests/test_pattern_digests.py
 """
 
 from __future__ import annotations
 
+import enum
 import json
+from dataclasses import fields
 from hashlib import blake2b
 from pathlib import Path
 
@@ -35,6 +44,7 @@ from repro.stl import RoutineContext
 from repro.stl.routines import make_forwarding_routine
 
 DIGESTS = Path(__file__).with_name("pattern_digests.json")
+TIMING = Path(__file__).with_name("timing_digests.json")
 
 
 def plain_builders():
@@ -76,16 +86,62 @@ def port_name(port) -> str:
     return port if isinstance(port, str) else f"s{port[0]}o{port[1]}"
 
 
-def simulate_matrix() -> dict[tuple[str, str, int], object]:
-    """(builders, scenario label, core) -> activation log."""
-    logs = {}
+def simulate_matrix() -> dict[tuple[str, str], object]:
+    """(builders, scenario label) -> ScenarioResult."""
+    runs = {}
     for name, make in BUILDERS.items():
         builders = make()
         for scenario in default_scenarios():
-            result = run_scenario(builders, scenario)
-            for core in scenario.active_cores:
-                logs[name, scenario.label, core] = result.per_core[core].log
-    return logs
+            runs[name, scenario.label] = run_scenario(builders, scenario)
+    return runs
+
+
+def logs_of(runs) -> dict[tuple[str, str, int], object]:
+    """(builders, scenario label, core) -> activation log."""
+    return {
+        (name, label, core): core_result.log
+        for (name, label), result in runs.items()
+        for core, core_result in result.per_core.items()
+    }
+
+
+def log_digest(log) -> str:
+    """Digest of every activation record in order: fields by name,
+    enums as ints (independent of the record classes' implementation)."""
+    digest = blake2b(digest_size=16)
+    for kind, records in (
+        ("fwd", log.forwarding),
+        ("hdcu", log.hdcu),
+        ("icu", log.icu),
+    ):
+        digest.update(f"#{kind}={len(records)}".encode())
+        for record in records:
+            parts = []
+            for f in fields(record):
+                value = getattr(record, f.name)
+                if isinstance(value, enum.Enum):
+                    value = int(value)
+                parts.append(f"{f.name}={value!r}")
+            digest.update(("|" + ",".join(parts)).encode())
+    return digest.hexdigest()
+
+
+def timing_of(runs) -> dict[str, dict]:
+    """``builders/scenario/coreN`` -> the core's timing and log digest."""
+    timing = {}
+    for (name, label), result in runs.items():
+        for core, run in result.per_core.items():
+            timing[f"{name}/{label}/core{core}"] = {
+                "signature": run.signature,
+                "mailbox": run.mailbox,
+                "cycles": run.cycles,
+                "if_stalls": run.if_stalls,
+                "mem_stalls": run.mem_stalls,
+                "hazard_stalls": run.hazard_stalls,
+                "total_cycles": result.total_cycles,
+                "log": log_digest(run.log),
+            }
+    return timing
 
 
 def digests_of(logs, kind: str) -> dict[str, str]:
@@ -100,8 +156,13 @@ def digests_of(logs, kind: str) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def matrix_logs():
+def matrix_runs():
     return simulate_matrix()
+
+
+@pytest.fixture(scope="module")
+def matrix_logs(matrix_runs):
+    return logs_of(matrix_runs)
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +187,35 @@ def test_pattern_sets_match_pinned_digests(matrix_logs, pinned, builders, kind):
     assert not mismatched, f"{len(mismatched)} pattern sets changed: {mismatched[:5]}"
 
 
+@pytest.mark.parametrize("builders", sorted(BUILDERS))
+def test_timing_matches_pinned_digests(matrix_runs, builders):
+    runs = {key: run for key, run in matrix_runs.items() if key[0] == builders}
+    prefix = f"{builders}/"
+    expected = {
+        key: value
+        for key, value in json.loads(TIMING.read_text()).items()
+        if key.startswith(prefix)
+    }
+    assert expected, f"no pinned timing for {builders}"
+    actual = timing_of(runs)
+    assert sorted(actual) == sorted(expected)
+    mismatched = sorted(key for key in expected if actual[key] != expected[key])
+    assert not mismatched, (
+        f"{len(mismatched)} core runs changed timing: {mismatched[:5]}"
+    )
+
+
 def pin() -> None:
-    logs = simulate_matrix()
+    runs = simulate_matrix()
+    logs = logs_of(runs)
     digests = {}
     for kind in KINDS:
         digests.update(digests_of(logs, kind))
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"pinned {len(digests)} pattern-set digests in {DIGESTS}")
+    timing = timing_of(runs)
+    TIMING.write_text(json.dumps(timing, indent=1, sort_keys=True) + "\n")
+    print(f"pinned timing of {len(timing)} core runs in {TIMING}")
 
 
 if __name__ == "__main__":
