@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.cpu.alu import branch_taken, execute_alu, execute_alu64, execute_imm
 from repro.cpu.fetch import FetchUnit
-from repro.cpu.forwarding import Resolution, resolve_register
+from repro.cpu.forwarding import LatchView, Resolution
 from repro.cpu.hazard import can_dual_issue, unresolved_producer
 from repro.cpu.icu import Icu, IcuConfig
 from repro.cpu.memunit import MemoryUnit
@@ -48,7 +48,7 @@ from repro.isa.instructions import (
     Instruction,
     Mnemonic,
 )
-from repro.mem.bus import SystemBus
+from repro.mem.bus import SystemBus, Transaction
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.memmap import MemoryMap, dtcm_base, itcm_base
 from repro.mem.tcm import Tcm
@@ -167,7 +167,7 @@ class Core:
         self.retire_latch = []
         self.memunit.cancel()
         self._set_testwin(0)
-        self.reset(pc)
+        self.reset(pc)  # The redirect also clears the starved marker.
 
     @property
     def done(self) -> bool:
@@ -190,6 +190,16 @@ class Core:
     # ------------------------------------------------------------------
 
     def step(self, cycle: int) -> None:
+        fetch = self.fetch
+        starved_on = fetch.starved_on
+        if starved_on is not None:
+            if not starved_on.done:
+                # Starved (see _starved_on): the full step would change
+                # nothing but these two counters.
+                self.cycles += 1
+                self.ifstall += 1
+                return
+            fetch.starved_on = None
         if not self.started or self.done:
             return
         self.cycles += 1
@@ -197,7 +207,32 @@ class Core:
         self._advance_mem(cycle)
         self._advance_ex(cycle)
         self._try_issue(cycle)
-        self.fetch.step(cycle, self.halted)
+        fetch.step(cycle, self.halted)
+        fetch.starved_on = self._starved_on()
+
+    def _starved_on(self) -> Transaction | None:
+        """The fetch this core is starved on, or None.
+
+        A core is starved when its latches and issue queue are empty, it
+        is not halted, its memory unit is idle, its ICU has no pending
+        event and its fetch unit can neither collect nor launch a fetch
+        (:meth:`FetchUnit.blocked_on`).  Until that fetch is done a full
+        step only retires nothing, advances nothing, counts an IF stall
+        and finds the fetch unit blocked again; nothing else reaches
+        into the core meanwhile except through a redirect (reset, hard
+        reset, supervisor parking), which clears the marker.
+        """
+        if (
+            self.halted
+            or self.exmem_latch
+            or self.memwb_latch
+            or self.retire_latch
+            or self.fetch.queue
+            or self.memunit.busy
+            or self.icu.has_pending
+        ):
+            return None
+        return self.fetch.blocked_on()
 
     def _retire(self, cycle: int) -> None:
         retired = len(self.retire_latch)
@@ -212,12 +247,12 @@ class Core:
                 vector |= 1 << int(event)
             self.log.icu.append(
                 IcuRecord(
-                    event_vector=vector,
-                    merged=recognition.merged,
-                    imprecision=recognition.imprecision,
-                    status_bits=recognition.status_bits,
-                    observable=bool(self.testwin & 1),
-                    count_before=count_before,
+                    vector,
+                    recognition.merged,
+                    recognition.imprecision,
+                    recognition.status_bits,
+                    bool(self.testwin & 1),
+                    count_before,
                 )
             )
         for uop in self.retire_latch:
@@ -262,28 +297,7 @@ class Core:
             self.ifstall += 1
             return
         pc0, i0 = queue[0]
-        if not self._operands_available(i0, cycle):
-            return
-        if i0.mnemonic is Mnemonic.SYNC and not self._sync_ready():
-            self.hazstall += 1
-            return
-        queue.pop(0)
-        first = self._issue_one(i0, pc0, slot=0, cycle=cycle)
-        if first is None:
-            return  # Redirecting jump: the packet ends here.
-        self.exmem_latch.append(first)
-        if (
-            queue
-            and can_dual_issue(i0, queue[0][1])
-            and self._second_ready(queue[0][1])
-        ):
-            pc1, i1 = queue.pop(0)
-            second = self._issue_one(i1, pc1, slot=1, cycle=cycle)
-            if second is not None:
-                self.exmem_latch.append(second)
-
-    def _operands_available(self, instr: Instruction, cycle: int) -> bool:
-        if unresolved_producer(instr, self.memwb_latch):
+        if unresolved_producer(i0, self.memwb_latch):
             # Load-use (producer load in the EX/MEM latch) with the
             # access itself on its fast path: a true HDCU stall.  A load
             # still waiting on the bus shows up as MEM stall cycles via
@@ -291,12 +305,22 @@ class Core:
             if not self.memunit.waiting_on_bus:
                 self.hazstall += 1
                 if self.recording:
-                    self._record_hdcu_stall(instr)
-            return False
-        return True
-
-    def _second_ready(self, instr: Instruction) -> bool:
-        return not unresolved_producer(instr, self.memwb_latch)
+                    self._record_hdcu_stall(i0)
+            return
+        if i0.mnemonic is Mnemonic.SYNC and not self._sync_ready():
+            self.hazstall += 1
+            return
+        # One latch scan serves both slots (see LatchView).
+        view = LatchView(self.memwb_latch, self.retire_latch, self.regfile)
+        queue.pop(0)
+        self.exmem_latch.append(self._issue_one(i0, pc0, 0, cycle, view))
+        if queue:
+            pc1, i1 = queue[0]
+            if can_dual_issue(i0, i1) and not unresolved_producer(
+                i1, self.memwb_latch
+            ):
+                queue.pop(0)
+                self.exmem_latch.append(self._issue_one(i1, pc1, 1, cycle, view))
 
     def _sync_ready(self) -> bool:
         return (
@@ -305,23 +329,19 @@ class Core:
             and not self.memunit.busy
         )
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _issue_one(
-        self, instr: Instruction, pc: int, slot: int, cycle: int
-    ) -> Uop | None:
-        """Execute ``instr`` eagerly and return its uop (None for taken
-        jumps that produce no writeback)."""
+        self, instr: Instruction, pc: int, slot: int, cycle: int, view: LatchView
+    ) -> Uop:
+        """Execute ``instr`` eagerly and return its uop."""
         spec = instr.spec
         if spec.is_64bit and not self.model.is64:
             raise SimulationError(
                 f"core {self.model.name} cannot execute {instr.mnemonic.value} "
                 "(64-bit extension is core C only)"
             )
+        self._seq += 1
         uop = Uop(
-            seq=self._next_seq(),
+            seq=self._seq,
             pc=pc,
             instr=instr,
             slot=slot,
@@ -333,35 +353,35 @@ class Core:
         fmt = spec.format
         if fmt is Format.R3:
             if spec.is_64bit:
-                v1 = self._resolve_wide(instr.rs1, uop, slot, 0)
-                v2 = self._resolve_wide(instr.rs2, uop, slot, 1)
+                v1 = self._resolve_wide(view, instr.rs1, uop, slot, 0)
+                v2 = self._resolve_wide(view, instr.rs2, uop, slot, 1)
                 uop.result = execute_alu64(instr.mnemonic, v1, v2)
                 uop.is64 = True
             else:
-                v1 = self._resolve(instr.rs1, uop, slot, 0)
-                v2 = self._resolve(instr.rs2, uop, slot, 1)
+                v1 = self._resolve(view, instr.rs1, uop, slot, 0)
+                v2 = self._resolve(view, instr.rs2, uop, slot, 1)
                 uop.result, uop.trap_event = execute_alu(instr.mnemonic, v1, v2)
         elif fmt is Format.I:
-            v1 = self._resolve(instr.rs1, uop, slot, 0)
+            v1 = self._resolve(view, instr.rs1, uop, slot, 0)
             uop.result = execute_imm(instr.mnemonic, v1, instr.imm)
         elif fmt is Format.LUI:
             uop.result = (instr.imm << 12) & MASK32
         elif fmt is Format.LOAD:
-            base = self._resolve(instr.rs1, uop, slot, 0)
+            base = self._resolve(view, instr.rs1, uop, slot, 0)
             uop.is_load = True
             uop.result_ready = False
             uop.mem_address = (base + instr.imm) & MASK32
             uop.mem_width = 4 if instr.mnemonic is Mnemonic.LW else 1
         elif fmt is Format.STORE:
-            base = self._resolve(instr.rs1, uop, slot, 0)
-            data = self._resolve(instr.rs2, uop, slot, 1)
+            base = self._resolve(view, instr.rs1, uop, slot, 0)
+            data = self._resolve(view, instr.rs2, uop, slot, 1)
             uop.is_store = True
             uop.mem_address = (base + instr.imm) & MASK32
             uop.mem_width = 4 if instr.mnemonic is Mnemonic.SW else 1
             uop.store_value = data if uop.mem_width == 4 else data & 0xFF
         elif fmt is Format.BRANCH:
-            v1 = self._resolve(instr.rs1, uop, slot, 0)
-            v2 = self._resolve(instr.rs2, uop, slot, 1)
+            v1 = self._resolve(view, instr.rs1, uop, slot, 0)
+            v2 = self._resolve(view, instr.rs2, uop, slot, 1)
             if branch_taken(instr.mnemonic, v1, v2):
                 self.fetch.redirect((pc + 4 * instr.imm) & MASK32)
         elif fmt is Format.JUMP:
@@ -369,12 +389,12 @@ class Core:
                 uop.result = (pc + 4) & MASK32
             self.fetch.redirect(4 * instr.imm)
         elif fmt is Format.JR:
-            target = self._resolve(instr.rs1, uop, slot, 0)
+            target = self._resolve(view, instr.rs1, uop, slot, 0)
             self.fetch.redirect(target & ~3)
         elif instr.mnemonic is Mnemonic.CSRR:
             uop.result = self._csr_read(instr.csr)
         elif instr.mnemonic is Mnemonic.CSRW:
-            v1 = self._resolve(instr.rs1, uop, slot, 0)
+            v1 = self._resolve(view, instr.rs1, uop, slot, 0)
             self._csr_write(instr.csr, v1)
         elif instr.mnemonic is Mnemonic.HALT:
             self.halted = True
@@ -392,32 +412,40 @@ class Core:
     # Operand resolution + recording.
     # ------------------------------------------------------------------
 
-    def _resolve(self, reg: int, uop: Uop, slot: int, operand: int) -> int:
-        res = resolve_register(
-            reg, self.memwb_latch, self.retire_latch, self.regfile
-        )
-        if not res.ready:  # pragma: no cover - guarded by unresolved_producer
+    def _resolve(
+        self, view: LatchView, reg: int, uop: Uop, slot: int, operand: int
+    ) -> int:
+        res = view.resolve(reg)
+        value, select, ready, candidates, valid_mask = res
+        if not ready:  # pragma: no cover - guarded by unresolved_producer
             raise SimulationError(f"issued {uop.instr} with unresolved r{reg}")
-        uop.fwd_selects.append(res.select)
+        uop.fwd_selects.append(select)
         if self.recording:
-            self._record(reg, res, slot, operand, width=32, high=None)
-        return self._apply_injection(slot, operand, res)
+            self._record(
+                view, reg, select, candidates, valid_mask, slot, operand, 32
+            )
+        if self.injected_fault is not None:
+            return self._apply_injection(slot, operand, res)
+        return value
 
-    def _resolve_wide(self, reg: int, uop: Uop, slot: int, operand: int) -> int:
-        low = resolve_register(
-            reg, self.memwb_latch, self.retire_latch, self.regfile
-        )
-        high = resolve_register(
-            reg + 1, self.memwb_latch, self.retire_latch, self.regfile
-        )
-        if not (low.ready and high.ready):  # pragma: no cover
+    def _resolve_wide(
+        self, view: LatchView, reg: int, uop: Uop, slot: int, operand: int
+    ) -> int:
+        low, select, low_ready, low_candidates, valid_mask = view.resolve(reg)
+        high, _, high_ready, high_candidates, _ = view.resolve(reg + 1)
+        if not (low_ready and high_ready):  # pragma: no cover
             raise SimulationError(f"issued {uop.instr} with unresolved pair r{reg}")
-        uop.fwd_selects.append(low.select)
+        uop.fwd_selects.append(select)
         if self.recording:
-            self._record(reg, low, slot, operand, width=64, high=high)
-        return low.value | (high.value << 32)
+            candidates = tuple(
+                lo | (hi << 32) for lo, hi in zip(low_candidates, high_candidates)
+            )
+            self._record(
+                view, reg, select, candidates, valid_mask, slot, operand, 64
+            )
+        return low | (high << 32)
 
-    def _apply_injection(self, slot: int, operand: int, res: Resolution) -> int:
+    def _apply_injection(self, slot: int, operand: int, res: tuple) -> int:
         """Corrupt the resolved operand according to the armed fault.
 
         Only the value delivered to execution changes; the activation
@@ -425,115 +453,80 @@ class Core:
         against the fault-free logic simulation, as in the paper's flow).
         """
         fault = self.injected_fault
-        if fault is None:
-            return res.value
+        resolution = Resolution(*res)
         if hasattr(fault, "apply_resolution"):
-            return fault.apply_resolution(slot, operand, res)
-        return fault.apply(slot, operand, res.select, res.value)
+            return fault.apply_resolution(slot, operand, resolution)
+        return fault.apply(slot, operand, resolution.select, resolution.value)
 
     def _record(
         self,
+        view: LatchView,
         reg: int,
-        res: Resolution,
+        select: FwdSource,
+        candidates: tuple[int, int, int, int, int],
+        valid_mask: int,
         slot: int,
         operand: int,
         width: int,
-        high: Resolution | None,
     ) -> None:
         observable = bool(self.testwin & 1)
-        if width == 64 and high is not None:
-            candidates = tuple(
-                lo | (hi << 32)
-                for lo, hi in zip(res.candidates, high.candidates)
-            )
-            valid_mask = res.valid_mask
-        else:
-            candidates = res.candidates
-            valid_mask = res.valid_mask
         self.log.forwarding.append(
             ForwardingRecord(
-                slot=slot,
-                operand=operand,
-                select=res.select,
-                candidates=candidates,
-                valid_mask=valid_mask,
-                width=width,
-                observable=observable,
-                observable_high=bool(self.testwin & 2),
+                slot,
+                operand,
+                select,
+                candidates,
+                valid_mask,
+                width,
+                observable,
+                bool(self.testwin & 2),
             )
         )
-        chosen = candidates[int(res.select)]
+        # The selected input always carries the chosen value, so every
+        # differing input is an alternative a select fault would expose.
+        chosen = candidates[select]
         flip_mask = 0
-        for source in range(5):
-            if source != int(res.select) and candidates[source] != chosen:
+        for source, value in enumerate(candidates):
+            if value != chosen:
                 flip_mask |= 1 << source
-        producer_regs, producer_valid, producer_load_mask = (
-            self._producer_summary()
-        )
+        producer_regs, producer_valid, producer_load_mask = view.summary
         self.log.hdcu.append(
             HdcuRecord(
-                consumer_reg=reg,
-                producer_regs=producer_regs,
-                producer_valid=producer_valid,
-                select=res.select,
-                stall=False,
-                flip_visible_mask=flip_mask,
-                observable=observable,
-                stall_observable=self.stall_observable and observable,
-                slot=slot,
-                operand=operand,
-                producer_load_mask=producer_load_mask,
+                reg,
+                producer_regs,
+                producer_valid,
+                select,
+                False,  # stall
+                flip_mask,
+                observable,
+                self.stall_observable and observable,
+                slot,
+                operand,
+                producer_load_mask,
             )
         )
 
     def _record_hdcu_stall(self, instr: Instruction) -> None:
         # Record the register that is actually blocked (the one produced
         # by the unready load), so the netlist's comparators match.
-        blocked = 0
-        for reg in instr.source_regs():
-            for latch in (self.memwb_latch, self.retire_latch):
-                for uop in latch:
-                    if not uop.result_ready and reg in uop.dests:
-                        blocked = reg
-        producer_regs, producer_valid, producer_load_mask = (
-            self._producer_summary()
-        )
+        view = LatchView(self.memwb_latch, self.retire_latch, self.regfile)
+        producer_regs, producer_valid, producer_load_mask = view.summary
+        observable = bool(self.testwin & 1)
         self.log.hdcu.append(
             HdcuRecord(
-                consumer_reg=blocked,
-                producer_regs=producer_regs,
-                producer_valid=producer_valid,
-                select=FwdSource.RF,
-                stall=True,
-                flip_visible_mask=0,
-                observable=bool(self.testwin & 1),
-                stall_observable=self.stall_observable and bool(self.testwin & 1),
-                producer_load_mask=producer_load_mask,
+                view.blocked_register(instr.source_regs()),
+                producer_regs,
+                producer_valid,
+                FwdSource.RF,
+                True,  # stall
+                0,  # flip_visible_mask
+                observable,
+                self.stall_observable and observable,
+                0,  # slot
+                0,  # operand
+                producer_load_mask,
             )
         )
-
-    def _producer_summary(self) -> tuple[tuple[int, int, int, int], int, int]:
-        """``(producer_regs, producer_valid, producer_load_mask)`` in one
-        scan of the MEM/WB and retire latches.
-
-        Position ``2 * latch + slot`` names one producer: its first
-        destination register (the first writing uop of that slot), a
-        valid bit when such a uop exists, and a load bit when a uop of
-        that slot is a load whose result is not ready yet.
-        """
-        regs = [0, 0, 0, 0]
-        valid = 0
-        loads = 0
-        for base, latch in ((0, self.memwb_latch), (2, self.retire_latch)):
-            for uop in latch:
-                index = base + uop.slot
-                bit = 1 << index
-                if uop.dests and not valid & bit:
-                    regs[index] = uop.dests[0]
-                    valid |= bit
-                if uop.is_load and not uop.result_ready:
-                    loads |= bit
-        return tuple(regs), valid, loads
 
     # ------------------------------------------------------------------
     # CSRs.

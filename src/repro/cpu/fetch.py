@@ -69,6 +69,10 @@ class FetchUnit:
         #: In-flight fetch transactions, oldest first.  Entries are
         #: (txn, pc, is_fill, discard).
         self._inflight: deque[list] = deque()
+        #: Head fetch the owning core is starved on (set by ``Core.step``
+        #: from :meth:`blocked_on`): until it is done, the core's cycles
+        #: are pure IF stalls.  A redirect clears it.
+        self.starved_on: Transaction | None = None
         #: Telemetry sink (no-op unless a TelemetrySession is attached).
         self.telemetry = NULL_SINK
 
@@ -89,13 +93,37 @@ class FetchUnit:
             )
         self.fetch_pc = pc
         self.queue.clear()
+        self.starved_on = None
         for entry in self._inflight:
             entry[3] = True  # discard on completion
 
-    @property
-    def busy(self) -> bool:
-        """True while any fetch transaction is outstanding."""
-        return any(not entry[0].done for entry in self._inflight)
+    def blocked_on(self) -> Transaction | None:
+        """The head in-flight fetch when the next :meth:`step` (of a core
+        that is not halted, with an empty queue) can neither collect nor
+        launch a fetch; None otherwise.
+
+        Nothing is collected while the head is not done.  The TCM and
+        cache paths launch only with nothing in flight; the uncached path
+        launches below ``UNCACHED_PIPELINE`` in-flight bursts and within
+        the queue/pending-words limit.
+        """
+        inflight = self._inflight
+        if not inflight:
+            return None
+        txn = inflight[0][0]
+        if txn.done:
+            return None
+        pc = self.fetch_pc
+        if self.itcm.contains(pc) or (self.icache_enabled and is_cacheable(pc)):
+            return txn
+        if len(inflight) >= self.UNCACHED_PIPELINE:
+            return txn
+        pending_words = sum(
+            entry[0].burst_words for entry in inflight if not entry[3]
+        )
+        if len(self.queue) + pending_words > self.QUEUE_CAPACITY - 4:
+            return txn
+        return None
 
     # ------------------------------------------------------------------
     # Per-cycle operation.
@@ -165,7 +193,10 @@ class FetchUnit:
         self.fetch_pc = pc
 
     def _fetch_from_cache(self, pc: int, cycle: int) -> None:
-        if not self.icache.lookup(pc):
+        # An 8-byte fetch group never crosses a cache line, so one probe
+        # answers for the whole group.
+        words = self.icache.read_group(pc, self._group_words(pc))
+        if words is None:
             plan = self.icache.prepare_fill(pc)
             # Instruction lines are never dirty; only the fill is needed.
             txn = self.bus.submit(
@@ -179,10 +210,7 @@ class FetchUnit:
             )
             self._inflight.append([txn, pc, True, False])
             return
-        # An 8-byte fetch group never crosses a cache line, so once the
-        # first word hits the whole group is resident.
-        for _ in range(self._group_words(pc)):
-            word = self.icache.read(pc)
+        for word in words:
             self.queue.append((pc, _decode_word(word)))
             pc += 4
         self.fetch_pc = pc

@@ -34,13 +34,15 @@ def can_dual_issue(first: Instruction, second: Instruction) -> bool:
         return False
     if spec1.is_branch or spec1.is_system:
         return False
-    if spec1.is_mem or spec1.is_mul:
+    if spec1.is_load or spec1.is_store or spec1.is_mul:
         return False
-    dests0 = set(first.dest_regs())
-    if dests0 & set(second.source_regs()):
-        return False
-    if dests0 & set(second.dest_regs()):
-        return False
+    dests0 = first.dest_regs()
+    for reg in second.source_regs():
+        if reg in dests0:
+            return False
+    for reg in second.dest_regs():
+        if reg in dests0:
+            return False
     return True
 
 
@@ -52,11 +54,13 @@ def unresolved_producer(instr: Instruction, *latches: list[Uop]) -> bool:
     bus: in both cases the HDCU must stall issue because forwarding is
     not possible yet.
     """
-    sources = set(instr.source_regs())
+    sources = instr.source_regs()
     if not sources:
         return False
     for latch in latches:
         for uop in latch:
-            if not uop.result_ready and sources & set(uop.dests):
-                return True
+            if not uop.result_ready:
+                for reg in uop.dests:
+                    if reg in sources:
+                        return True
     return False

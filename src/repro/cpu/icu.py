@@ -93,6 +93,11 @@ class Icu:
         self._pending.append(_Pending(event, cycle))
 
     @property
+    def has_pending(self) -> bool:
+        """True while a delivered event awaits recognition."""
+        return bool(self._pending)
+
+    @property
     def pending_vector(self) -> int:
         """Bitmask of raw (unmapped) pending event lines."""
         vector = 0

@@ -10,6 +10,11 @@ observability information (is this activation inside the
 signature-accumulating test window, and would a wrong value be
 distinguishable at all).
 
+The record classes are plain (not frozen) dataclasses: a run builds
+hundreds of thousands of them and a frozen dataclass pays for every
+field through ``object.__setattr__``.  Nothing mutates or hashes a
+record once it is logged.
+
 ``observable`` follows the ``TESTWIN`` CSR: the cache-based wrapper sets
 it around the *execution loop* only, so loading-loop activity exists in
 the record (it shapes cache state) but cannot detect faults — exactly
@@ -36,7 +41,7 @@ class FwdSource(enum.IntEnum):
 NUM_FWD_SOURCES = len(FwdSource)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ForwardingRecord:
     """One resolution of one EX-stage operand through the forwarding muxes.
 
@@ -64,7 +69,7 @@ class ForwardingRecord:
     observable_high: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass
 class HdcuRecord:
     """One issue-time decision of the hazard-detection control unit.
 
@@ -94,7 +99,7 @@ class HdcuRecord:
     producer_load_mask: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class IcuRecord:
     """One ICU recognition as seen by the self-test procedure."""
 

@@ -258,6 +258,30 @@ SPECS: dict[Mnemonic, InstrSpec] = {
 }
 
 
+class _decoded:
+    """Write-once non-data descriptor: computes a decoded property on
+    first access and stores it in the instance ``__dict__``, where later
+    lookups find it before the descriptor.
+
+    Instructions are immutable and fetched words share one decoded
+    instance, so each distinct instruction word is decoded once.  Unlike
+    ``functools.cached_property`` (which locks on every first access on
+    Python 3.10/3.11) this costs nothing beyond the computation.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        instance.__dict__[self.name] = value
+        return value
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One decoded (or about-to-be-encoded) instruction.
@@ -275,13 +299,13 @@ class Instruction:
     csr: int = 0
     label: str | None = field(default=None, compare=False)
 
-    @property
+    @_decoded
     def spec(self) -> InstrSpec:
         """The static :class:`InstrSpec` of this mnemonic."""
         return SPECS[self.mnemonic]
 
-    def source_regs(self) -> tuple[int, ...]:
-        """Architectural registers read, in operand order (with 64-bit pairs)."""
+    @_decoded
+    def _source_regs(self) -> tuple[int, ...]:
         spec = self.spec
         fmt = spec.format
         if fmt is Format.R3:
@@ -302,8 +326,8 @@ class Instruction:
             return (self.rs1,)
         return ()
 
-    def dest_regs(self) -> tuple[int, ...]:
-        """Architectural registers written (register pair on 64-bit ops)."""
+    @_decoded
+    def _dest_regs(self) -> tuple[int, ...]:
         spec = self.spec
         if not spec.writes_rd:
             return ()
@@ -313,6 +337,14 @@ class Instruction:
         if spec.is_64bit:
             return (rd, rd + 1)
         return (rd,)
+
+    def source_regs(self) -> tuple[int, ...]:
+        """Architectural registers read, in operand order (with 64-bit pairs)."""
+        return self._source_regs
+
+    def dest_regs(self) -> tuple[int, ...]:
+        """Architectural registers written (register pair on 64-bit ops)."""
+        return self._dest_regs
 
     def forwarding_operands(self) -> tuple[int, ...]:
         """Registers whose values feed the EX-stage operand muxes.

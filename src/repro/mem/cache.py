@@ -113,6 +113,12 @@ class Cache:
             [_Line() for _ in range(config.ways)] for _ in range(config.num_sets)
         ]
         self._lru = [list(range(config.ways)) for _ in range(config.num_sets)]
+        # Address geometry as shifts and masks (every size is a power of
+        # two, which CacheConfig enforces).
+        self._offset_mask = config.line_bytes - 1
+        self._set_shift = config.line_bytes.bit_length() - 1
+        self._set_mask = config.num_sets - 1
+        self._tag_shift = self._set_shift + config.num_sets.bit_length() - 1
         self.stats = CacheStats()
         #: Telemetry sink (no-op unless a TelemetrySession is attached)
         #: and the core id events are attributed to while attached.
@@ -124,13 +130,15 @@ class Cache:
     # ------------------------------------------------------------------
 
     def _decompose(self, address: int) -> tuple[int, int, int]:
-        line = align_down(address, self.config.line_bytes)
-        set_index = (line // self.config.line_bytes) % self.config.num_sets
-        tag = line // (self.config.line_bytes * self.config.num_sets)
-        return tag, set_index, (address - line) // 4
+        return (
+            address >> self._tag_shift,
+            (address >> self._set_shift) & self._set_mask,
+            (address & self._offset_mask) >> 2,
+        )
 
     def _find(self, address: int) -> tuple[int, int] | None:
-        tag, set_index, _ = self._decompose(address)
+        tag = address >> self._tag_shift
+        set_index = (address >> self._set_shift) & self._set_mask
         for way, line in enumerate(self._sets[set_index]):
             if line.valid and line.tag == tag:
                 return set_index, way
@@ -165,6 +173,32 @@ class Cache:
                 address=address,
             )
         return hit
+
+    def read_group(self, address: int, words: int) -> list[int] | None:
+        """Look up ``address`` and, on a hit, read ``words`` consecutive
+        words from it (a fetch group, which never crosses a line).
+
+        Statistics, LRU state and telemetry end up exactly as after
+        :meth:`lookup` followed by one :meth:`read` per word; a miss
+        returns None.
+        """
+        location = self._find(address)
+        if location is None:
+            self.lookup(address)
+            return None
+        self.stats.hits += 1
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.emit(
+                EventKind.CACHE_HIT,
+                core=self.telemetry_core,
+                cache=self.config.name,
+                address=address,
+            )
+        set_index, way = location
+        self._touch(set_index, way)
+        start = (address & self._offset_mask) >> 2
+        return self._sets[set_index][way].words[start : start + words]
 
     def read(self, address: int, width: int = 4) -> int:
         """Read a word or byte that must currently hit."""
