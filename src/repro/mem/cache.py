@@ -160,6 +160,27 @@ class Cache:
     def lookup(self, address: int) -> bool:
         """Hit test that records one access in the statistics."""
         hit = self._find(address) is not None
+        self._count_access(address, hit)
+        return hit
+
+    def read_group(self, address: int, words: int) -> list[int] | None:
+        """Look up ``address`` and, on a hit, read ``words`` consecutive
+        words from it (a fetch group, which never crosses a line).
+
+        Statistics, LRU state and telemetry end up exactly as after
+        :meth:`lookup` followed by one :meth:`read` per word; a miss
+        returns None.
+        """
+        location = self._find(address)
+        self._count_access(address, location is not None)
+        if location is None:
+            return None
+        set_index, way = location
+        self._touch(set_index, way)
+        start = (address & self._offset_mask) >> 2
+        return self._sets[set_index][way].words[start : start + words]
+
+    def _count_access(self, address: int, hit: bool) -> None:
         if hit:
             self.stats.hits += 1
         else:
@@ -172,33 +193,6 @@ class Cache:
                 cache=self.config.name,
                 address=address,
             )
-        return hit
-
-    def read_group(self, address: int, words: int) -> list[int] | None:
-        """Look up ``address`` and, on a hit, read ``words`` consecutive
-        words from it (a fetch group, which never crosses a line).
-
-        Statistics, LRU state and telemetry end up exactly as after
-        :meth:`lookup` followed by one :meth:`read` per word; a miss
-        returns None.
-        """
-        location = self._find(address)
-        if location is None:
-            self.lookup(address)
-            return None
-        self.stats.hits += 1
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.emit(
-                EventKind.CACHE_HIT,
-                core=self.telemetry_core,
-                cache=self.config.name,
-                address=address,
-            )
-        set_index, way = location
-        self._touch(set_index, way)
-        start = (address & self._offset_mask) >> 2
-        return self._sets[set_index][way].words[start : start + words]
 
     def read(self, address: int, width: int = 4) -> int:
         """Read a word or byte that must currently hit."""
