@@ -6,9 +6,9 @@ fault-simulate, and times the serial grading sweep under both engines
 — the exact per-fault hot path, with scenario simulation (engine-
 independent) excluded.  Records wall-clock, the speedup ratio and a
 gate-fault-evaluations/second throughput proxy in
-``BENCH_hotpaths.json``, plus 1/2/4-worker compiled campaign runs for
-the pool-scaling picture (flagged when oversubscribed, as on a
-single-CPU container).
+``BENCH_hotpaths.json``.  Campaign wall-clock and pool scaling are
+measured by ``perfbench/`` (``matrix_cached`` against
+``matrix_sharded``).
 
 The speedup IS asserted: the compiled kernel exists to make the hot
 path at least 3x faster, and equivalence of the detected counts is
@@ -21,11 +21,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 import time
 
 from repro.core.determinism import default_scenarios, run_scenario
-from repro.faults import run_parallel_checkpointed_campaign
 from repro.faults.compiled import compiled_for
 from repro.faults.generators import get_modules
 from repro.faults.observability import (
@@ -37,8 +35,6 @@ from repro.faults.ppsfp import fault_simulate
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, standard_provider
 from repro.utils.tables import format_table
 
-MODULES = ("FWD", "HDCU", "ICU")
-WORKER_COUNTS = (1, 2, 4)
 REPS = 3
 MIN_SPEEDUP = 3.0
 RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / (
@@ -114,28 +110,6 @@ def test_compiled_kernel_speedup(emit):
     assert detected["compiled"] == detected["interpreted"]
     speedup = times["interpreted"] / times["compiled"]
 
-    # Pool scaling of the campaign over the same scenario set.
-    runs = []
-    for workers in WORKER_COUNTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            start = time.perf_counter()
-            run_parallel_checkpointed_campaign(
-                standard_provider(),
-                default_scenarios(),
-                DEFAULT_CAMPAIGN_MODELS,
-                tmp,
-                modules=MODULES,
-                workers=workers,
-            )
-            seconds = time.perf_counter() - start
-        runs.append(
-            {
-                "workers": workers,
-                "seconds": round(seconds, 3),
-                "oversubscribed": workers > cpus,
-            }
-        )
-
     payload = {
         "benchmark": "hotpaths",
         "cpu_count": cpus,
@@ -153,7 +127,6 @@ def test_compiled_kernel_speedup(emit):
         },
         "speedup": round(speedup, 3),
         "min_speedup": MIN_SPEEDUP,
-        "compiled_campaign_runs": runs,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 

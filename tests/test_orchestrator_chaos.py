@@ -219,7 +219,10 @@ def test_corrupted_checkpoints_recover_under_supervision(
     shard: quarantine of the rotted bytes + retry of the injected
     failure still converge to the clean outcomes."""
     directory = tmp_path / "campaign"
-    run_campaign(directory, policy=fast_policy())
+    clean = run_campaign(directory, policy=fast_policy())
+    # Supervision without chaos changes nothing either.
+    assert outcome_dicts(clean) == campaign_reference
+    assert clean.quarantined_shards == ()
     corrupt_file(directory / "shard_000.json", "tamper")
     corrupt_file(directory / MANIFEST_NAME, "truncate")
     chaos = ChaosPolicy({0: ShardChaos(kind="transient", failures=1)})
