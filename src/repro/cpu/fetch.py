@@ -104,8 +104,7 @@ class FetchUnit:
 
         Nothing is collected while the head is not done.  The TCM and
         cache paths launch only with nothing in flight; the uncached path
-        launches below ``UNCACHED_PIPELINE`` in-flight bursts and within
-        the queue/pending-words limit.
+        launches while :meth:`_uncached_room` allows.
         """
         inflight = self._inflight
         if not inflight:
@@ -116,14 +115,9 @@ class FetchUnit:
         pc = self.fetch_pc
         if self.itcm.contains(pc) or (self.icache_enabled and is_cacheable(pc)):
             return txn
-        if len(inflight) >= self.UNCACHED_PIPELINE:
-            return txn
-        pending_words = sum(
-            entry[0].burst_words for entry in inflight if not entry[3]
-        )
-        if len(self.queue) + pending_words > self.QUEUE_CAPACITY - 4:
-            return txn
-        return None
+        if self._uncached_room(self._pending_words()):
+            return None
+        return txn
 
     # ------------------------------------------------------------------
     # Per-cycle operation.
@@ -215,14 +209,20 @@ class FetchUnit:
             pc += 4
         self.fetch_pc = pc
 
-    def _fetch_uncached(self, cycle: int) -> None:
-        pending_words = sum(
-            entry[0].burst_words for entry in self._inflight if not entry[3]
-        )
-        while (
+    def _pending_words(self) -> int:
+        """Words still to arrive from in-flight fetches not discarded."""
+        return sum(entry[0].burst_words for entry in self._inflight if not entry[3])
+
+    def _uncached_room(self, pending_words: int) -> bool:
+        """Whether the uncached stream may launch one more burst."""
+        return (
             len(self._inflight) < self.UNCACHED_PIPELINE
             and len(self.queue) + pending_words <= self.QUEUE_CAPACITY - 4
-        ):
+        )
+
+    def _fetch_uncached(self, cycle: int) -> None:
+        pending_words = self._pending_words()
+        while self._uncached_room(pending_words):
             pc = self.fetch_pc
             group = self.UNCACHED_GROUP_BYTES
             words = (group - (pc % group)) // 4

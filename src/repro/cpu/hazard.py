@@ -34,7 +34,7 @@ def can_dual_issue(first: Instruction, second: Instruction) -> bool:
         return False
     if spec1.is_branch or spec1.is_system:
         return False
-    if spec1.is_load or spec1.is_store or spec1.is_mul:
+    if spec1.is_mem or spec1.is_mul:
         return False
     dests0 = first.dest_regs()
     for reg in second.source_regs():
