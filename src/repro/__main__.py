@@ -122,13 +122,14 @@ def _run_faultsim(argv: list[str]) -> int:
     campaign over the paper's scenario matrix.
 
     Fault-grades every scenario run against the per-core fault lists
-    like the Table II/III experiments, but sharded over a process pool
-    (``--workers``) with per-shard checkpoints, so the full campaign
-    runs at host speed and a killed run resumes where it left off.
-    ``--workers 1`` runs the shards in this process unless the run is
-    supervised (``--max-retries``/``--shard-timeout``/``--allow-partial``),
-    which always uses a pool; any worker/shard geometry produces
-    bit-identical coverage (the differential test suite's invariant).
+    like the Table II/III experiments, one scenario per shard over a
+    process pool (``--workers``) with per-shard checkpoints, so the full
+    campaign runs at host speed and a killed run resumes where it left
+    off.  ``--workers 1`` runs the shards in this process unless the run
+    is supervised (``--max-retries``/``--shard-timeout``/
+    ``--allow-partial``), which always uses a pool; every worker count
+    produces bit-identical coverage (the differential test suite's
+    invariant).
     """
     # Function-level imports: the table experiments don't need any of
     # the campaign machinery (and vice versa).
@@ -152,9 +153,10 @@ def _run_faultsim(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro faultsim",
         description=(
-            "Sharded multi-process fault-simulation campaign: run the "
-            "Section IV-C scenario matrix, fault-grade every run, and "
-            "report per-module coverage ranges plus per-shard throughput."
+            "Multi-process fault-simulation campaign: run the Section "
+            "IV-C scenario matrix, one scenario per shard, fault-grade "
+            "every run, and report per-module coverage ranges plus "
+            "per-shard wall-clock."
         ),
     )
     parser.add_argument(
@@ -166,12 +168,6 @@ def _run_faultsim(argv: list[str]) -> int:
             "process unless the run is supervised); "
             "requests beyond the host's CPU count are clamped"
         ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="scenario shard count (default: min(#scenarios, 4*workers))",
     )
     parser.add_argument(
         "--modules",
@@ -234,7 +230,6 @@ def _run_faultsim(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     for flag, value, least in (
         ("--workers", args.workers, 1),
-        ("--shards", args.shards, 1),
         ("--max-retries", args.max_retries, 0),
     ):
         if value is not None and value < least:
@@ -274,7 +269,6 @@ def _run_faultsim(argv: list[str]) -> int:
             args.checkpoint_dir or tmp,
             modules=modules,
             workers=workers,
-            num_shards=args.shards,
             policy=policy,
         )
     elapsed = time.time() - start

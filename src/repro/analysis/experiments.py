@@ -28,11 +28,10 @@ from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C, CoreModel
 from repro.cpu.trace import render_pipeline_diagram
 from repro.errors import SimulationError
 from repro.faults.campaign import (
+    COVERAGE_GRADERS,
     CoverageRange,
     ModuleCoverage,
     coverage_range,
-    hdcu_coverage,
-    icu_coverage,
     run_checkpointed_campaign,
 )
 from repro.isa.instructions import Csr, Instruction, Mnemonic
@@ -251,14 +250,13 @@ def _forwarding_campaign(
     """Core id -> its FWD coverage in every scenario it is active in.
 
     One pass of the ordinary checkpointed campaign (checkpoint in a
-    temporary directory, no retries: a deterministic scenario that
-    fails once fails again) — a failed scenario raises instead of
-    leaving a hole in the table.
+    temporary directory) — a failed scenario raises instead of leaving
+    a hole in the table.
     """
     with tempfile.TemporaryDirectory() as tmp:
         outcomes = run_checkpointed_campaign(
             builders, scenarios, MODELS, Path(tmp) / "campaign.json",
-            modules=("FWD",), soc_config=soc_config, retries=0,
+            modules=("FWD",), soc_config=soc_config,
         )
     per_core: dict[int, list[ModuleCoverage]] = {core: [] for core in MODELS}
     for outcome in outcomes.values():
@@ -325,12 +323,6 @@ def _module_routine(module: str, model: CoreModel):
     return make_forwarding_routine(model, with_pcs=True)
 
 
-def _module_coverage(module: str, log, model: CoreModel) -> ModuleCoverage:
-    if module == "ICU":
-        return icu_coverage(log, model)
-    return hdcu_coverage(log, model)
-
-
 def table3_icu_hdcu(
     multicore_scenarios: tuple[Scenario, ...] | None = None,
     soc_config: SocConfig = DEFAULT_SOC_CONFIG,
@@ -395,11 +387,11 @@ def table3_icu_hdcu(
             for s in multicore_scenarios
         ]
         for core_id, model in MODELS.items():
-            single_cov = _module_coverage(
-                module, single_runs[core_id].per_core[core_id].log, model
+            single_cov = COVERAGE_GRADERS[module](
+                single_runs[core_id].per_core[core_id].log, model
             )
             cached_covs = [
-                _module_coverage(module, r.per_core[core_id].log, model)
+                COVERAGE_GRADERS[module](r.per_core[core_id].log, model)
                 for r in wrapped_multi
                 if core_id in r.per_core
             ]

@@ -24,15 +24,6 @@ class RegFile:
         if index != 0:
             self._regs[index] = value & MASK32
 
-    def read_pair(self, index: int) -> int:
-        """Read the 64-bit register pair (r[index] low, r[index+1] high)."""
-        return self.read(index) | (self.read(index + 1) << 32)
-
-    def write_pair(self, index: int, value: int) -> None:
-        """Write a 64-bit value to a register pair."""
-        self.write(index, value & MASK32)
-        self.write(index + 1, (value >> 32) & MASK32)
-
     def snapshot(self) -> tuple[int, ...]:
         """Immutable copy of the whole file (for differential testing)."""
         return tuple(self._regs)

@@ -187,12 +187,12 @@ def coverage_range(coverages: list[ModuleCoverage]) -> CoverageRange:
 # Supervised, checkpointed coverage campaigns.
 #
 # A long in-field campaign must survive a crashed or hung scenario run:
-# each scenario executes under a cycle deadline with bounded retries
-# (the supervisor discipline of repro.soc.supervisor applied at campaign
-# granularity), a scenario that keeps failing is quarantined as a
-# recorded error instead of aborting the sweep, and every finished
-# scenario is checkpointed to JSON so a killed campaign resumes where it
-# left off and produces coverage identical to an uninterrupted run.
+# each scenario executes once under a cycle deadline (a deterministic
+# scenario that fails fails the same way again, so it is never re-run),
+# a failure is recorded as the scenario's error outcome instead of
+# aborting the sweep, and every finished scenario is checkpointed to
+# JSON so a killed campaign resumes where it left off and produces
+# coverage identical to an uninterrupted run.
 # ----------------------------------------------------------------------
 
 #: Module label -> grading function over one core's activation log.
@@ -257,6 +257,61 @@ def verify_payload(path: Path, data: dict) -> str | None:
     return None
 
 
+def load_payload(path: Path, kind: str) -> dict | None:
+    """Read, parse and verify one campaign JSON file (None if absent).
+
+    Unreadable bytes, invalid JSON, a payload that is not a JSON object
+    and a content-digest mismatch are *corruption*: the file is
+    quarantined to a ``.corrupt`` sidecar with a
+    :class:`CheckpointCorruptionWarning` and None is returned, so the
+    owner starts afresh while the evidence survives.  A version
+    mismatch is an incompatibility, not rot, and raises
+    :class:`CheckpointError` naming the file as ``kind``.
+    """
+    if not path.exists():
+        return None
+    try:
+        data = json.loads(path.read_text())
+    # ValueError covers JSONDecodeError and the UnicodeDecodeError that
+    # non-UTF-8 garbage raises before the parser even runs.
+    except (OSError, ValueError) as exc:
+        quarantine_corrupt_file(path, f"unreadable: {exc}")
+        return None
+    if isinstance(data, dict):
+        reason = verify_payload(path, data)
+    else:
+        reason = f"not a JSON object ({type(data).__name__})"
+    if reason is not None:
+        quarantine_corrupt_file(path, reason)
+        return None
+    if data.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{kind} {path} has version {data.get('version')!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    return data
+
+
+def write_json_atomic(path: Path, data) -> None:
+    """Durably replace ``path`` with ``data`` as indented JSON.
+
+    The temp name carries the pid so two processes pointed at the same
+    path can never tear each other's staging file; fsync-before-rename
+    makes the rename a real commit point even if the host dies right
+    after, and a failed write leaves no staging file behind.
+    """
+    tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(json.dumps(data, indent=2) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
 @dataclass
 class ScenarioOutcome:
     """One scenario's graded coverages — or its recorded failure."""
@@ -264,7 +319,6 @@ class ScenarioOutcome:
     label: str
     coverages: list[dict] = field(default_factory=list)
     error: str | None = None
-    attempts: int = 1
     #: Determinism-audit verdict of the graded run (``audit=True``).
     audit: dict | None = None
     #: Final test signature per active core (JSON keys are strings).
@@ -282,7 +336,6 @@ class ScenarioOutcome:
             "label": self.label,
             "coverages": self.coverages,
             "error": self.error,
-            "attempts": self.attempts,
             "audit": self.audit,
             "signatures": self.signatures,
         }
@@ -293,7 +346,6 @@ class ScenarioOutcome:
             label=data["label"],
             coverages=list(data["coverages"]),
             error=data["error"],
-            attempts=data["attempts"],
             audit=data.get("audit"),
             signatures=dict(data.get("signatures", {})),
         )
@@ -311,36 +363,11 @@ class CampaignCheckpoint:
         self.path = Path(path)
         self.modules = tuple(modules)
         self.outcomes: dict[str, ScenarioOutcome] = {}
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        """Load and verify the checkpoint file.
-
-        Unreadable bytes, invalid JSON or a content-digest mismatch are
-        *corruption*: the file is quarantined to a ``.corrupt`` sidecar
-        with a :class:`CheckpointCorruptionWarning` and this checkpoint
-        starts empty — the shard recomputes, the evidence survives.
-        Version or module mismatches are *caller errors* and still
-        raise :class:`CheckpointError`: mixing incompatible campaigns
-        must never be papered over by a silent restart.
-        """
-        try:
-            data = json.loads(self.path.read_text())
-        # ValueError covers JSONDecodeError and the UnicodeDecodeError
-        # that non-UTF-8 garbage raises before the parser even runs.
-        except (OSError, ValueError) as exc:
-            quarantine_corrupt_file(self.path, f"unreadable: {exc}")
+        data = load_payload(self.path, "checkpoint")
+        if data is None:
             return
-        reason = verify_payload(self.path, data)
-        if reason is not None:
-            quarantine_corrupt_file(self.path, reason)
-            return
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {self.path} has version {data.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
+        # A module mismatch is a caller error, never papered over by a
+        # silent restart: mixing incompatible campaigns must raise.
         if tuple(data.get("modules", ())) != self.modules:
             raise CheckpointError(
                 f"checkpoint {self.path} graded modules "
@@ -381,20 +408,7 @@ class CampaignCheckpoint:
             "scenarios": [o.to_dict() for o in self.outcomes.values()],
         }
         data["digest"] = content_digest(data)
-        # The temp name carries the pid so two processes pointed at the
-        # same checkpoint path can never tear each other's staging file;
-        # fsync-before-rename makes the rename a real commit point even
-        # if the host dies right after.
-        tmp = self.path.with_suffix(f"{self.path.suffix}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(json.dumps(data, indent=2) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        write_json_atomic(self.path, data)
 
 
 def merge_outcome_maps(maps) -> dict[str, ScenarioOutcome]:
@@ -426,7 +440,6 @@ def run_checkpointed_campaign(
     modules: tuple[str, ...] = ("FWD",),
     soc_config=None,
     max_cycles: int = 4_000_000,
-    retries: int = 1,
     on_scenario=None,
     audit: bool = False,
 ) -> dict[str, ScenarioOutcome]:
@@ -437,12 +450,12 @@ def run_checkpointed_campaign(
     to its :class:`CoreModel` for grading, and ``modules`` names the
     fault lists to grade (keys of :data:`COVERAGE_GRADERS`).
 
-    Per scenario: the run executes under ``max_cycles`` (the per-module
-    watchdog), a :class:`repro.errors.ReproError` triggers up to
-    ``retries`` clean re-runs (a fresh SoC each time), and persistent
-    failure quarantines the scenario as an ``error`` outcome rather than
-    aborting the campaign.  Completed scenarios found in the checkpoint
-    are skipped, so a killed campaign resumes where it left off.
+    Each scenario runs once, under ``max_cycles`` (the per-module
+    watchdog); a :class:`repro.errors.ReproError` is recorded as the
+    scenario's ``error`` outcome rather than aborting the campaign.  A
+    scenario is deterministic, so a re-run would fail the same way.
+    Completed scenarios found in the checkpoint are skipped, so a
+    killed campaign resumes where it left off.
 
     ``on_scenario(outcome)``, when given, is called after each scenario
     is checkpointed — the test hook used to simulate mid-run kills.
@@ -463,17 +476,13 @@ def run_checkpointed_campaign(
         if checkpoint.done(scenario.label):
             continue
         outcome = ScenarioOutcome(label=scenario.label)
-        for attempt in range(1 + retries):
-            outcome.attempts = attempt + 1
-            try:
-                result = run_scenario(
-                    builders, scenario, config, max_cycles=max_cycles,
-                    audit=audit,
-                )
-            except ReproError as exc:
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                continue
-            outcome.error = None
+        try:
+            result = run_scenario(
+                builders, scenario, config, max_cycles=max_cycles, audit=audit
+            )
+        except ReproError as exc:
+            outcome.error = f"{type(exc).__name__}: {exc}"
+        else:
             outcome.audit = result.audit
             outcome.signatures = {
                 str(core_id): result.per_core[core_id].signature
@@ -489,7 +498,6 @@ def run_checkpointed_campaign(
                 for module in modules
                 for core_id in scenario.active_cores
             ]
-            break
         checkpoint.record(outcome)
         if on_scenario is not None:
             on_scenario(outcome)

@@ -56,9 +56,7 @@ straggler kills are invisible in the numbers.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -67,7 +65,11 @@ from hashlib import blake2b
 from pathlib import Path
 
 from repro.errors import CheckpointError, FaultModelError, OrchestrationError
-from repro.faults.campaign import ScenarioOutcome, run_checkpointed_campaign
+from repro.faults.campaign import (
+    ScenarioOutcome,
+    run_checkpointed_campaign,
+    write_json_atomic,
+)
 from repro.faults.parallel import (
     ShardTiming,
     _merge_campaign_outcomes,
@@ -265,10 +267,7 @@ class OrchestrationReport:
         )
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        os.replace(tmp, path)
+        write_json_atomic(Path(path), self.to_dict())
 
 
 @dataclass
@@ -327,7 +326,6 @@ def _campaign_shard_worker(spec: dict):
         spec["checkpoint_path"],
         modules=spec["modules"],
         max_cycles=spec["max_cycles"],
-        retries=spec["retries"],
         audit=spec["audit"],
         on_scenario=on_scenario,
     )
@@ -665,9 +663,7 @@ def run_parallel_checkpointed_campaign(
     modules: tuple[str, ...] = ("FWD",),
     *,
     workers: int = 1,
-    num_shards: int | None = None,
     max_cycles: int = 4_000_000,
-    retries: int = 1,
     audit: bool = False,
     on_shard=None,
     policy: RetryPolicy | None = None,
@@ -679,10 +675,9 @@ def run_parallel_checkpointed_campaign(
     module-level function or :func:`functools.partial` of one) returning
     the core-id -> program-builder dict; it is invoked once per shard,
     inside the worker, so closures never cross the process boundary.
-    Scenarios are partitioned into ``num_shards`` deterministic shards
-    (stable hash of the scenario label; default
-    ``min(len(scenarios), 4 * workers)``) and each shard runs the
-    ordinary serial supervised campaign against its own checkpoint file
+    Every scenario is its own shard (longest first, see
+    :func:`~repro.faults.parallel.plan_campaign_shards`), and each shard
+    runs the ordinary serial campaign against its own checkpoint file
     under ``checkpoint_dir``.
 
     The shard layout is pinned in ``manifest.json`` on first run;
@@ -691,8 +686,8 @@ def run_parallel_checkpointed_campaign(
     shards** — with any worker count, which is why a campaign started
     with N workers can be finished with M.  Scenario outcomes are
     deterministic per scenario (fresh SoC, no cross-scenario state), so
-    the merged result is bit-identical for every (workers, num_shards)
-    geometry.
+    the merged result is bit-identical for every worker count and
+    every caller order of the scenarios.
 
     Dispatch follows the module's rule: in this process at
     ``workers=1`` without a policy, over a process pool otherwise.
@@ -721,7 +716,7 @@ def run_parallel_checkpointed_campaign(
             "an unsupervised campaign has no failure handling to exercise"
         )
     directory, plan, labels, shard_scenarios, completed, scheduled = (
-        _prepare_campaign(scenarios, modules, checkpoint_dir, workers, num_shards)
+        _prepare_campaign(scenarios, modules, checkpoint_dir, workers)
     )
     report = OrchestrationReport(
         num_shards=plan.num_shards,
@@ -743,7 +738,6 @@ def run_parallel_checkpointed_campaign(
             "checkpoint_path": str(directory / plan.checkpoint_name(index)),
             "modules": tuple(modules),
             "max_cycles": max_cycles,
-            "retries": retries,
             "audit": audit,
         }
 

@@ -145,10 +145,6 @@ class RecordingSink:
         #: Events emitted but not recorded (dropped kinds / over capacity).
         self.dropped = 0
 
-    def subscribe(self, subscriber) -> None:
-        """Add a live subscriber (an object with ``on_event(event)``)."""
-        self.subscribers.append(subscriber)
-
     def emit(
         self, event_kind: EventKind, core: int | None = None, **fields
     ) -> None:

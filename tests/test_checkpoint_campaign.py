@@ -100,6 +100,8 @@ def test_completed_campaign_reruns_as_pure_checkpoint_reads(tmp_path):
 
 
 def test_hung_scenario_is_retried_then_recorded_as_error(tmp_path):
+    """A watchdog trip is the scenario's recorded error outcome, not an
+    exception: the scenario runs once and the campaign carries on."""
     outcomes = run_checkpointed_campaign(
         builders(),
         scenarios()[:1],
@@ -107,12 +109,10 @@ def test_hung_scenario_is_retried_then_recorded_as_error(tmp_path):
         tmp_path / "campaign.json",
         modules=("FWD",),
         max_cycles=100,  # guaranteed watchdog trip
-        retries=2,
     )
     (outcome,) = outcomes.values()
     assert outcome.failed
     assert "ExecutionLimitExceeded" in outcome.error
-    assert outcome.attempts == 3  # 1 + retries
     assert outcome.coverages == []
     assert outcome.module_coverages() == []
 

@@ -2,9 +2,10 @@
 
 Every campaign file (per-shard checkpoints, the shard-layout manifest)
 embeds a blake2b content digest over its canonical JSON.  These tests
-pin the whole corruption story: truncated, garbage and valid-JSON-but-
-tampered files are detected, quarantined to a ``.corrupt`` sidecar with
-a :class:`~repro.errors.CheckpointCorruptionWarning` (bytes preserved,
+pin the whole corruption story: truncated, garbage, valid-JSON-but-
+tampered files and valid JSON that is not an object are detected,
+quarantined to a ``.corrupt`` sidecar with a
+:class:`~repro.errors.CheckpointCorruptionWarning` (bytes preserved,
 never silently deleted), and the campaign recomputes the lost shard to
 outcomes bit-identical to an undisturbed run.  Incompatibility
 (version / module mismatch) still raises — rot restarts, caller errors
@@ -38,7 +39,17 @@ SCENARIOS = (
     Scenario((0, 1), CodePosition.MID, CodeAlignment.WORD),
 )
 
-CORRUPTION_MODES = ("truncate", "garbage", "tamper")
+#: Valid JSON documents that are not a campaign payload (an object).
+NON_OBJECT_PAYLOADS = {"list": "[]", "number": "3", "null": "null"}
+
+CORRUPTION_MODES = ("truncate", "garbage", "tamper", *NON_OBJECT_PAYLOADS)
+
+
+def corrupt(path, mode):
+    if mode in NON_OBJECT_PAYLOADS:
+        path.write_text(NON_OBJECT_PAYLOADS[mode])
+    else:
+        corrupt_file(path, mode)
 
 
 def run_small(directory, **kwargs):
@@ -91,36 +102,36 @@ def test_verify_payload_reports_mismatch(tmp_path):
 
 @pytest.mark.parametrize("mode", CORRUPTION_MODES)
 def test_corrupt_shard_checkpoint_recovers_bit_identical(tmp_path, mode):
-    reference = run_small(tmp_path / "reference", num_shards=2)
+    reference = run_small(tmp_path / "reference")
 
     directory = tmp_path / "campaign"
-    run_small(directory, num_shards=2)
+    run_small(directory)
     target = directory / "shard_000.json"
     original = target.read_bytes()
-    corrupt_file(target, mode)
+    corrupt(target, mode)
     assert target.read_bytes() != original
 
     with pytest.warns(CheckpointCorruptionWarning):
-        resumed = run_small(directory, num_shards=2)
+        resumed = run_small(directory)
     sidecar = directory / (target.name + CORRUPT_SUFFIX)
     assert sidecar.exists()  # evidence preserved for post-mortem
     assert outcome_dicts(resumed) == outcome_dicts(reference)
     # The recomputed file is valid again: a third run is pure reads.
-    third = run_small(directory, num_shards=2)
+    third = run_small(directory)
     assert third.scheduled == ()
     assert outcome_dicts(third) == outcome_dicts(reference)
 
 
 @pytest.mark.parametrize("mode", CORRUPTION_MODES)
 def test_corrupt_manifest_recovers_bit_identical(tmp_path, mode):
-    reference = run_small(tmp_path / "reference", num_shards=2)
+    reference = run_small(tmp_path / "reference")
 
     directory = tmp_path / "campaign"
-    run_small(directory, num_shards=2)
-    corrupt_file(directory / MANIFEST_NAME, mode)
+    run_small(directory)
+    corrupt(directory / MANIFEST_NAME, mode)
 
     with pytest.warns(CheckpointCorruptionWarning):
-        resumed = run_small(directory, num_shards=2)
+        resumed = run_small(directory)
     assert (directory / (MANIFEST_NAME + CORRUPT_SUFFIX)).exists()
     # plan_campaign_shards is pure, so the re-planned layout re-adopted
     # the existing shard checkpoints: nothing was re-executed.
@@ -132,7 +143,7 @@ def test_tamper_is_caught_only_by_the_digest(tmp_path):
     """The nastiest mode stays valid JSON — json.loads alone would
     accept it; the embedded digest is what catches it."""
     directory = tmp_path / "campaign"
-    run_small(directory, num_shards=1)
+    run_small(directory)
     target = directory / "shard_000.json"
     corrupt_file(target, "tamper")
     data = json.loads(target.read_text())  # parses fine

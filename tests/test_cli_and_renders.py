@@ -41,11 +41,10 @@ def test_cli_rejects_unknown_experiment():
     "flags",
     (
         ["--workers", "0"],
-        ["--shards", "0"],
         ["--max-retries", "-1"],
         ["--shard-timeout", "0"],
     ),
-    ids=("workers", "shards", "max-retries", "shard-timeout"),
+    ids=("workers", "max-retries", "shard-timeout"),
 )
 def test_faultsim_rejects_out_of_range_flags(flags, capsys):
     # A usage error (exit 2), not exit 1, which means "scenarios failed".
@@ -53,6 +52,14 @@ def test_faultsim_rejects_out_of_range_flags(flags, capsys):
         main(["faultsim", "--small", *flags])
     assert excinfo.value.code == 2
     assert flags[0] in capsys.readouterr().err
+
+
+def test_faultsim_has_no_shard_count_flag(capsys):
+    # One scenario per shard: the shard count is not a knob.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["faultsim", "--small", "--shards", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
 
 def test_faultsim_json_summary(tmp_path):

@@ -26,7 +26,6 @@ from repro.faults import (
     fault_simulate,
     get_modules,
     run_checkpointed_campaign,
-    stable_shard_index,
 )
 from repro.faults.gates import UNARY, GateKind
 from repro.faults.netlist import Netlist
@@ -260,9 +259,7 @@ def test_sharded_dropping_matches_serial(fwd_port, num_shards):
     faults = enumerate_faults(netlist)
     serial_set = DropSet()
     serial = fault_simulate(netlist, patterns, faults, dropped=serial_set)
-    shards = [[] for _ in range(num_shards)]
-    for fault in faults:
-        shards[stable_shard_index(fault.stable_id, num_shards)].append(fault)
+    shards = [faults[index::num_shards] for index in range(num_shards)]
     sharded_set = DropSet()
     parts = [
         fault_simulate(netlist, patterns, shard, dropped=sharded_set)

@@ -64,7 +64,6 @@ def outcome_dicts(result):
 def run_campaign(directory, *, chaos=None, policy=None, **kwargs):
     kwargs.setdefault("modules", ("FWD",))
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("num_shards", 2)
     return run_parallel_checkpointed_campaign(
         small_provider(), SCENARIOS, DEFAULT_CAMPAIGN_MODELS, directory,
         chaos=chaos, policy=policy, **kwargs,
@@ -74,9 +73,7 @@ def run_campaign(directory, *, chaos=None, policy=None, **kwargs):
 @pytest.fixture(scope="module")
 def campaign_reference(tmp_path_factory):
     """The clean, unsupervised campaign every chaos run must reproduce."""
-    result = run_campaign(
-        tmp_path_factory.mktemp("reference"), workers=1, num_shards=2
-    )
+    result = run_campaign(tmp_path_factory.mktemp("reference"), workers=1)
     return outcome_dicts(result)
 
 
@@ -87,8 +84,9 @@ def campaign_chaos(kind):
     if kind == "kill":
         return ShardChaos(kind="kill", failures=1)
     if kind == "kill-mid-shard":
-        # The kill lands after one scenario is durably checkpointed:
-        # the retry must resume, not re-grade (nor double-count).
+        # The kill lands after the shard's scenario is durably
+        # checkpointed, before the shard returns: the retry must
+        # resume, not re-grade (nor double-count).
         return ShardChaos(kind="kill", failures=1, after_items=1)
     if kind == "hang":
         return ShardChaos(kind="hang", failures=1, hang_seconds=30.0)
@@ -118,15 +116,6 @@ def test_chaos_campaign_is_bit_identical(
     assert result.complete
     assert result.quarantined_shards == ()
     assert outcome_dicts(result) == campaign_reference
-    # The per-scenario attempt counters must match a clean run too:
-    # a shard retry re-runs infrastructure, never re-grades scenarios.
-    assert {
-        label: data["attempts"]
-        for label, data in outcome_dicts(result).items()
-    } == {
-        label: data["attempts"]
-        for label, data in campaign_reference.items()
-    }
     failures = [a for a in result.report.attempts if a.status != "ok"]
     if kind in ("transient", "hang"):
         assert failures, "chaos did not fire"

@@ -1,11 +1,14 @@
 """Differential serial-vs-sharded equivalence of the coverage campaign.
 
-The sharded campaign's contract is that no (workers, num_shards)
-geometry changes a single reported number.  These tests pin that
-contract against the serial checkpointed campaign — coverage dicts,
-scenario order and the per-core signatures each scenario records — in
-process and over real process pools, for one and several fault lists.
+The sharded campaign's contract is that neither the worker count nor
+the caller's scenario order changes a single reported number.  These
+tests pin that contract against the serial checkpointed campaign —
+coverage dicts, scenario order and the per-core signatures each
+scenario records — in process and over real process pools, for one and
+several fault lists.
 """
+
+import random
 
 import pytest
 
@@ -45,19 +48,24 @@ def serial_campaign(tmp_path_factory):
     )
 
 
-@pytest.mark.parametrize("workers,num_shards", [(1, None), (2, 3), (2, 7)])
+@pytest.mark.parametrize("workers,shuffle_seed", [(1, None), (2, 3), (2, 7)])
 def test_campaign_equivalence(
-    serial_campaign, tmp_path, workers, num_shards
+    serial_campaign, tmp_path, workers, shuffle_seed
 ):
+    """``shuffle_seed`` permutes the caller's scenario order (None keeps
+    it): the shard plan depends on the scenario set alone."""
+    scenarios = list(SCENARIOS)
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(scenarios)
     result = run_parallel_checkpointed_campaign(
         small_provider(),
-        SCENARIOS,
+        scenarios,
         DEFAULT_CAMPAIGN_MODELS,
         tmp_path / "parallel",
         modules=("FWD",),
         workers=workers,
-        num_shards=num_shards,
     )
+    assert list(result.outcomes) == [s.label for s in scenarios]
     assert outcome_dicts(result.outcomes) == outcome_dicts(serial_campaign)
     # Signatures are part of the contract: identical per core, per
     # scenario, whatever the pool geometry.
@@ -74,7 +82,6 @@ def test_campaign_preserves_scenario_order(serial_campaign, tmp_path):
         tmp_path / "ordered",
         modules=("FWD",),
         workers=2,
-        num_shards=2,
     )
     assert list(result.outcomes) == [s.label for s in SCENARIOS]
     assert list(result.outcomes) == list(serial_campaign)
@@ -97,6 +104,5 @@ def test_campaign_multi_module_equivalence(tmp_path):
         tmp_path / "parallel",
         modules=modules,
         workers=2,
-        num_shards=2,
     )
     assert outcome_dicts(parallel.outcomes) == outcome_dicts(serial)
