@@ -123,13 +123,13 @@ def _run_faultsim(argv: list[str]) -> int:
 
     Fault-grades every scenario run against the per-core fault lists
     like the Table II/III experiments, one scenario per shard over a
-    process pool (``--workers``) with per-shard checkpoints, so the full
-    campaign runs at host speed and a killed run resumes where it left
-    off.  ``--workers 1`` runs the shards in this process unless the run
-    is supervised (``--max-retries``/``--shard-timeout``/
-    ``--allow-partial``), which always uses a pool; every worker count
-    produces bit-identical coverage (the differential test suite's
-    invariant).
+    process pool (``--workers``), recording every outcome in one
+    checkpoint file, so the full campaign runs at host speed and a
+    killed run resumes where it left off.  ``--workers 1`` runs the
+    shards in this process unless the run is supervised
+    (``--max-retries``/``--shard-timeout``/``--allow-partial``), which
+    always uses a pool; every worker count produces bit-identical
+    coverage (the differential test suite's invariant).
     """
     # Function-level imports: the table experiments don't need any of
     # the campaign machinery (and vice versa).
@@ -140,9 +140,9 @@ def _run_faultsim(argv: list[str]) -> int:
     from repro.faults.campaign import COVERAGE_GRADERS, ModuleCoverage, coverage_range
     from repro.faults.orchestrator import (
         RetryPolicy,
+        resolve_workers,
         run_parallel_checkpointed_campaign,
     )
-    from repro.faults.parallel import resolve_workers
     from repro.faults.workload import (
         DEFAULT_CAMPAIGN_MODELS,
         small_provider,
@@ -280,7 +280,7 @@ def _run_faultsim(argv: list[str]) -> int:
     )
 
     # Coverage ranges per (module, core) across the scenario matrix —
-    # the Table II/III shape, computed from the merged shard outcomes.
+    # the Table II/III shape, computed from the scenario outcomes.
     per_key: dict[tuple[str, int], list[ModuleCoverage]] = {}
     for outcome in result.outcomes.values():
         for entry in outcome.coverages:
@@ -326,21 +326,16 @@ def _run_faultsim(argv: list[str]) -> int:
         print()
         print(
             format_table(
-                ("shard", "scenarios", "seconds", "scen/s"),
+                ("shard", "scenario", "seconds"),
                 [
-                    (
-                        str(t.index),
-                        str(t.items),
-                        f"{t.seconds:.2f}",
-                        f"{t.throughput:.2f}",
-                    )
+                    (str(t.index), t.label, f"{t.seconds:.2f}")
                     for t in result.shard_timings
                 ],
                 title="Executed shards (resume skips completed ones)",
             )
         )
     if failed:
-        print(f"\nquarantined scenarios: {', '.join(failed)}")
+        print(f"\nfailed scenarios: {', '.join(failed)}")
     if report is not None:
         retried = report.retried_shards
         print(
@@ -373,7 +368,7 @@ def _run_faultsim(argv: list[str]) -> int:
             "failed": failed,
             "coverage_ranges": summary,
             "shards": [
-                {"index": t.index, "scenarios": t.items, "seconds": t.seconds}
+                {"index": t.index, "label": t.label, "seconds": t.seconds}
                 for t in result.shard_timings
             ],
         }

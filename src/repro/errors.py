@@ -140,10 +140,10 @@ class CheckpointError(ReproError):
 
 
 class CheckpointCorruptionWarning(UserWarning):
-    """A checkpoint/manifest file failed its integrity check.
+    """A campaign checkpoint failed its integrity check.
 
-    The offending file is preserved as a ``.corrupt`` sidecar and the
-    affected shard restarts from scratch — corruption costs recomputation
+    The offending file is preserved as a ``.corrupt`` sidecar and every
+    scenario it held is graded again — corruption costs recomputation
     and a warning, never silent double-counting and never a lost file.
     """
 
@@ -155,5 +155,5 @@ class OrchestrationError(ReproError):
     caller did not opt into partial completion (``allow_partial``).  The
     message enumerates the quarantine roster; the
     :class:`repro.faults.orchestrator.OrchestrationReport` written next
-    to the checkpoint manifest holds the full attempt history.
+    to the campaign checkpoint holds the full attempt history.
     """

@@ -19,7 +19,7 @@ from pathlib import Path
 from repro.cpu.core import CoreModel
 from repro.cpu.recording import ActivationLog
 from repro.errors import CheckpointCorruptionWarning, CheckpointError, ReproError
-from repro.faults.generators import CoreModules, get_modules
+from repro.faults.generators import get_modules
 from repro.faults.observability import (
     forwarding_pattern_sets,
     hdcu_pattern_sets,
@@ -190,9 +190,9 @@ def coverage_range(coverages: list[ModuleCoverage]) -> CoverageRange:
 # each scenario executes once under a cycle deadline (a deterministic
 # scenario that fails fails the same way again, so it is never re-run),
 # a failure is recorded as the scenario's error outcome instead of
-# aborting the sweep, and every finished scenario is checkpointed to
-# JSON so a killed campaign resumes where it left off and produces
-# coverage identical to an uninterrupted run.
+# aborting the sweep, and every finished scenario is recorded in one
+# JSON checkpoint so a killed campaign resumes where it left off and
+# produces coverage identical to an uninterrupted run.
 # ----------------------------------------------------------------------
 
 #: Module label -> grading function over one core's activation log.
@@ -210,7 +210,7 @@ CORRUPT_SUFFIX = ".corrupt"
 
 
 def content_digest(data: dict) -> str:
-    """Content digest of a checkpoint/manifest payload.
+    """Content digest of a checkpoint payload.
 
     Computed over the canonical JSON of the payload *without* its
     ``digest`` field, so the digest can be embedded in the same file it
@@ -226,7 +226,7 @@ def quarantine_corrupt_file(path: Path, reason: str) -> Path:
     """Move a corrupt file to a ``.corrupt`` sidecar and warn.
 
     The bytes are preserved for post-mortem (never silently deleted),
-    the original path is freed so the owning shard can start fresh, and
+    the original path is freed so the campaign can start fresh, and
     the warning makes the silent-restart failure mode impossible: a
     resume that lost state always says why.  Returns the sidecar path.
     """
@@ -234,7 +234,7 @@ def quarantine_corrupt_file(path: Path, reason: str) -> Path:
     os.replace(path, sidecar)
     warnings.warn(
         f"{path} failed its integrity check ({reason}); moved to "
-        f"{sidecar.name} and restarting that shard from scratch",
+        f"{sidecar.name}; every scenario it held will be graded again",
         CheckpointCorruptionWarning,
         stacklevel=3,
     )
@@ -244,29 +244,30 @@ def quarantine_corrupt_file(path: Path, reason: str) -> Path:
 def verify_payload(path: Path, data: dict) -> str | None:
     """Return a corruption reason for a loaded payload, or None if OK.
 
-    A missing digest is accepted (pre-checksum files remain loadable);
-    a present-but-wrong digest is corruption — the valid-JSON tamper
-    case that no parse error can catch.
+    Every checkpoint is written with a digest, so a missing digest is
+    corruption, and so is a wrong one — the valid-JSON tamper case that
+    no parse error can catch.
     """
     recorded = data.get("digest")
     if recorded is None:
-        return None
+        return "no content digest"
     expected = content_digest(data)
     if recorded != expected:
         return f"digest mismatch (recorded {recorded}, computed {expected})"
     return None
 
 
-def load_payload(path: Path, kind: str) -> dict | None:
-    """Read, parse and verify one campaign JSON file (None if absent).
+def load_payload(path: Path) -> dict | None:
+    """Read, parse and verify one checkpoint file (None if absent).
 
     Unreadable bytes, invalid JSON, a payload that is not a JSON object
-    and a content-digest mismatch are *corruption*: the file is
+    and a missing or wrong content digest are *corruption*: the file is
     quarantined to a ``.corrupt`` sidecar with a
     :class:`CheckpointCorruptionWarning` and None is returned, so the
-    owner starts afresh while the evidence survives.  A version
-    mismatch is an incompatibility, not rot, and raises
-    :class:`CheckpointError` naming the file as ``kind``.
+    campaign starts afresh while the evidence survives.  A version
+    mismatch is an incompatibility, not rot: it raises
+    :class:`CheckpointError` naming the file, before the digest is
+    checked, since another version's payload is not this one's to judge.
     """
     if not path.exists():
         return None
@@ -277,18 +278,18 @@ def load_payload(path: Path, kind: str) -> dict | None:
     except (OSError, ValueError) as exc:
         quarantine_corrupt_file(path, f"unreadable: {exc}")
         return None
-    if isinstance(data, dict):
-        reason = verify_payload(path, data)
-    else:
+    if not isinstance(data, dict):
         reason = f"not a JSON object ({type(data).__name__})"
+    elif data.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {data.get('version')!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    else:
+        reason = verify_payload(path, data)
     if reason is not None:
         quarantine_corrupt_file(path, reason)
         return None
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{kind} {path} has version {data.get('version')!r}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
     return data
 
 
@@ -354,16 +355,21 @@ class ScenarioOutcome:
 class CampaignCheckpoint:
     """JSON checkpoint of a partially-run coverage campaign.
 
-    The file is rewritten atomically (tmp + rename) after every
-    scenario, so a kill at any instant leaves either the previous or the
-    new consistent state — never a torn file.
+    One file per campaign, owned by the process that runs the campaign
+    (pool workers only compute).  It is rewritten atomically (tmp +
+    rename) after every scenario, so a kill at any instant leaves either
+    the previous or the new consistent state — never a torn file.
+    Unknown ``modules`` raise :class:`ValueError`.
     """
 
     def __init__(self, path: str | Path, modules: tuple[str, ...]):
+        unknown = [m for m in modules if m not in COVERAGE_GRADERS]
+        if unknown:
+            raise ValueError(f"unknown coverage modules {unknown}")
         self.path = Path(path)
         self.modules = tuple(modules)
         self.outcomes: dict[str, ScenarioOutcome] = {}
-        data = load_payload(self.path, "checkpoint")
+        data = load_payload(self.path)
         if data is None:
             return
         # A module mismatch is a caller error, never papered over by a
@@ -411,25 +417,58 @@ class CampaignCheckpoint:
         write_json_atomic(self.path, data)
 
 
-def merge_outcome_maps(maps) -> dict[str, ScenarioOutcome]:
-    """Merge per-shard outcome maps, refusing duplicate scenarios.
+def grade_scenario(
+    builders,
+    scenario,
+    models: dict[int, CoreModel],
+    modules: tuple[str, ...],
+    soc_config=None,
+    max_cycles: int = 4_000_000,
+    audit: bool = False,
+) -> ScenarioOutcome:
+    """Simulate one scenario and grade every active core; no I/O.
 
-    The parallel campaign's reducer: outcome maps from disjoint shards
-    merge by key, and a label appearing in more than one shard (a
-    corrupted manifest, or two campaigns sharing a directory) raises
-    :class:`~repro.errors.CheckpointError` instead of silently keeping
-    one grading and discarding — or double-counting — the other.
+    The scenario runs once, under ``max_cycles`` (the per-module
+    watchdog); a :class:`repro.errors.ReproError` becomes the outcome's
+    ``error`` instead of propagating.  A scenario is deterministic, so a
+    re-run would fail the same way.  ``run_scenario`` and the graders
+    are looked up when called, so a caller can patch them on their
+    modules.  ``audit=True`` runs under the determinism auditor and
+    records its verdict.
     """
-    merged: dict[str, ScenarioOutcome] = {}
-    for outcome_map in maps:
-        for label, outcome in outcome_map.items():
-            if label in merged:
-                raise CheckpointError(
-                    f"scenario {label!r} appears in multiple shards; "
-                    "shard checkpoints must be disjoint"
-                )
-            merged[label] = outcome
-    return merged
+    # Imported here: repro.core builds on repro.faults results in the
+    # analysis layer, so the module-level direction stays faults <- core.
+    from repro.core.determinism import run_scenario
+    from repro.soc.config import DEFAULT_SOC_CONFIG
+
+    outcome = ScenarioOutcome(label=scenario.label)
+    try:
+        result = run_scenario(
+            builders,
+            scenario,
+            soc_config or DEFAULT_SOC_CONFIG,
+            max_cycles=max_cycles,
+            audit=audit,
+        )
+    except ReproError as exc:
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        return outcome
+    outcome.audit = result.audit
+    outcome.signatures = {
+        str(core_id): result.per_core[core_id].signature
+        for core_id in scenario.active_cores
+    }
+    outcome.coverages = [
+        {
+            "core_id": core_id,
+            **COVERAGE_GRADERS[module](
+                result.per_core[core_id].log, models[core_id]
+            ).to_dict(),
+        }
+        for module in modules
+        for core_id in scenario.active_cores
+    ]
+    return outcome
 
 
 def run_checkpointed_campaign(
@@ -443,61 +482,27 @@ def run_checkpointed_campaign(
     on_scenario=None,
     audit: bool = False,
 ) -> dict[str, ScenarioOutcome]:
-    """Run a coverage campaign with supervision and JSON checkpointing.
+    """Run a coverage campaign serially, checkpointing every scenario.
 
     ``builders``/``scenarios`` are as for
     :func:`repro.core.determinism.run_campaign`; ``models`` maps core id
     to its :class:`CoreModel` for grading, and ``modules`` names the
-    fault lists to grade (keys of :data:`COVERAGE_GRADERS`).
-
-    Each scenario runs once, under ``max_cycles`` (the per-module
-    watchdog); a :class:`repro.errors.ReproError` is recorded as the
-    scenario's ``error`` outcome rather than aborting the campaign.  A
-    scenario is deterministic, so a re-run would fail the same way.
-    Completed scenarios found in the checkpoint are skipped, so a
-    killed campaign resumes where it left off.
+    fault lists to grade (keys of :data:`COVERAGE_GRADERS`).  Each
+    scenario is graded by :func:`grade_scenario` and recorded in the
+    checkpoint; completed scenarios found in the checkpoint are
+    skipped, so a killed campaign resumes where it left off.
 
     ``on_scenario(outcome)``, when given, is called after each scenario
     is checkpointed — the test hook used to simulate mid-run kills.
-    ``audit=True`` runs every scenario under the determinism auditor and
-    records its verdict in each :class:`ScenarioOutcome`.
     """
-    # Imported here: repro.core builds on repro.faults results in the
-    # analysis layer, so the module-level direction stays faults <- core.
-    from repro.core.determinism import run_scenario
-    from repro.soc.config import DEFAULT_SOC_CONFIG
-
-    unknown = [m for m in modules if m not in COVERAGE_GRADERS]
-    if unknown:
-        raise ValueError(f"unknown coverage modules {unknown}")
-    config = soc_config or DEFAULT_SOC_CONFIG
     checkpoint = CampaignCheckpoint(checkpoint_path, modules)
     for scenario in scenarios:
         if checkpoint.done(scenario.label):
             continue
-        outcome = ScenarioOutcome(label=scenario.label)
-        try:
-            result = run_scenario(
-                builders, scenario, config, max_cycles=max_cycles, audit=audit
-            )
-        except ReproError as exc:
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        else:
-            outcome.audit = result.audit
-            outcome.signatures = {
-                str(core_id): result.per_core[core_id].signature
-                for core_id in scenario.active_cores
-            }
-            outcome.coverages = [
-                {
-                    "core_id": core_id,
-                    **COVERAGE_GRADERS[module](
-                        result.per_core[core_id].log, models[core_id]
-                    ).to_dict(),
-                }
-                for module in modules
-                for core_id in scenario.active_cores
-            ]
+        outcome = grade_scenario(
+            builders, scenario, models, modules,
+            soc_config=soc_config, max_cycles=max_cycles, audit=audit,
+        )
         checkpoint.record(outcome)
         if on_scenario is not None:
             on_scenario(outcome)

@@ -2,7 +2,7 @@
 
 The orchestrator's contract (``repro.faults.orchestrator``) is proved
 differentially: a campaign run under injected infrastructure failures
-must merge to results bit-identical to a clean run whenever no shard
+must produce results bit-identical to a clean run whenever no shard
 ends quarantined.  This module is the failure injector — a picklable
 :class:`ChaosPolicy` that rides into worker processes inside the shard
 spec and misbehaves *deterministically*:
@@ -16,8 +16,8 @@ spec and misbehaves *deterministically*:
   detection and re-dispatch;
 * ``transient`` raises :class:`ChaosError` — an infrastructure-style
   failure that is deliberately *not* a :class:`~repro.errors.ReproError`
-  so it escapes the scenario-level supervision inside a shard and hits
-  the orchestrator;
+  so it escapes scenario grading inside a shard and hits the
+  orchestrator;
 * a *poison* shard is any directive with ``failures=None``: it fails on
   every attempt and can only end quarantined.
 
@@ -54,11 +54,12 @@ CHAOS_KINDS = ("transient", "kill", "hang")
 class ChaosError(RuntimeError):
     """An injected infrastructure failure.
 
-    Subclasses :class:`RuntimeError`, *not* :class:`ReproError`: the
-    scenario-level supervisor inside a shard contains ``ReproError``
-    and would neutralise the injection before the orchestrator ever saw
-    it.  A chaos failure models the layer below — a dying container, a
-    corrupted interpreter — which no in-shard handler should catch.
+    Subclasses :class:`RuntimeError`, *not* :class:`ReproError`:
+    scenario grading inside a shard records ``ReproError`` as the
+    scenario's outcome and would neutralise the injection before the
+    orchestrator ever saw it.  A chaos failure models the layer below —
+    a dying container, a corrupted interpreter — which no in-shard
+    handler should catch.
     """
 
 
@@ -68,16 +69,12 @@ class ShardChaos:
 
     ``failures`` is the number of leading attempts that fail; attempt
     numbers above it succeed, and ``None`` means *every* attempt fails
-    (a poison shard).  ``after_items`` delays the failure until that
-    many work items (campaign scenarios) have completed inside the
-    attempt, so kills land mid-shard with partial checkpoint state on
-    disk.  ``hang_seconds`` bounds a ``hang`` so an un-reaped worker
-    cannot outlive the test session.
+    (a poison shard).  ``hang_seconds`` bounds a ``hang`` so an
+    un-reaped worker cannot outlive the test session.
     """
 
     kind: str = "transient"
     failures: int | None = 1
-    after_items: int = 0
     hang_seconds: float = 30.0
 
     def __post_init__(self):
@@ -103,14 +100,13 @@ class ShardChaos:
 class ChaosPolicy:
     """Shard index -> directive.  Picklable; rides inside shard specs.
 
-    ``fire``/``progress_hook`` are invoked *inside the worker process*
-    by the shard entry points; the orchestrator itself never calls
-    them, it only forwards the policy and the attempt number.  When the
-    orchestrator has degraded to in-process serial execution it passes
-    ``in_process=True`` and process-level misbehaviour (kill, hang) is
-    downgraded to a raised :class:`ChaosError` — the failure is still
-    counted and retried, but a chaos test can never kill or stall the
-    host process itself.
+    ``fire`` is invoked *inside the worker process* at shard entry;
+    the orchestrator itself never calls it, it only forwards the policy
+    and the attempt number.  When the orchestrator has degraded to
+    in-process serial execution it passes ``in_process=True`` and
+    process-level misbehaviour (kill, hang) is downgraded to a raised
+    :class:`ChaosError` — the failure is still counted and retried, but
+    a chaos test can never kill or stall the host process itself.
     """
 
     shards: dict[int, ShardChaos] = field(default_factory=dict)
@@ -121,52 +117,10 @@ class ChaosPolicy:
     def fire(
         self, shard_index: int, attempt: int, *, in_process: bool = False
     ) -> None:
-        """Misbehave at shard entry if the directive says so.
-
-        A directive with ``after_items > 0`` does not fire here — it
-        fires through :meth:`progress_hook` once enough items finished.
-        """
+        """Misbehave at shard entry if the directive says so."""
         directive = self.directive_for(shard_index)
-        if directive is None or directive.after_items > 0:
+        if directive is None or not directive.fires_on(attempt):
             return
-        if directive.fires_on(attempt):
-            self._misbehave(directive, shard_index, attempt, in_process)
-
-    def progress_hook(
-        self, shard_index: int, attempt: int, *, in_process: bool = False
-    ):
-        """Per-item callback that fires mid-shard chaos, or None.
-
-        The campaign shard worker threads this through
-        ``on_scenario`` so a kill lands *after* some scenarios are
-        durably checkpointed — the resume-without-double-count case.
-        """
-        directive = self.directive_for(shard_index)
-        if (
-            directive is None
-            or directive.after_items <= 0
-            or not directive.fires_on(attempt)
-        ):
-            return None
-        completed = {"count": 0}
-
-        def hook(_outcome) -> None:
-            completed["count"] += 1
-            if completed["count"] >= directive.after_items:
-                self._misbehave(directive, shard_index, attempt, in_process)
-
-        return hook
-
-    def _misbehave(
-        self,
-        directive: ShardChaos,
-        shard_index: int,
-        attempt: int,
-        in_process: bool,
-    ) -> None:
-        tag = (
-            f"chaos[{directive.kind}] shard {shard_index} attempt {attempt}"
-        )
         if directive.kind == "kill" and not in_process:
             # Bypass every finally/atexit, exactly like SIGKILL/OOM.
             os._exit(KILL_EXIT_CODE)
@@ -178,11 +132,13 @@ class ChaosPolicy:
             time.sleep(directive.hang_seconds)
             return
         # transient — and the in-process downgrade of kill/hang.
-        raise ChaosError(tag)
+        raise ChaosError(
+            f"chaos[{directive.kind}] shard {shard_index} attempt {attempt}"
+        )
 
 
 def corrupt_file(path: str | Path, mode: str = "truncate") -> None:
-    """Corrupt a checkpoint/manifest file in place (test harness).
+    """Corrupt a checkpoint file in place (test harness).
 
     ``truncate`` chops the file mid-byte-stream (a crash during a
     non-atomic write), ``garbage`` replaces it with non-JSON bytes, and

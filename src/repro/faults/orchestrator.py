@@ -1,10 +1,12 @@
 """The one shard-dispatch loop of the sharded campaign.
 
-:func:`run_parallel_checkpointed_campaign` splits the scenario matrix
-with the pure primitives of :mod:`repro.faults.parallel` and hands the
-scenario shards to one loop, :func:`_supervise`.  Every shard grades
-its scenarios one by one against the full fault lists, exactly like the
-serial campaign.  The loop's dispatch rule:
+:func:`run_parallel_checkpointed_campaign` makes every scenario its own
+shard, longest first, and hands the shards to one loop,
+:func:`_supervise`.  A shard grades its scenario against the full fault
+lists with :func:`~repro.faults.campaign.grade_scenario`, exactly like
+the serial campaign, and does no I/O: the calling process records every
+outcome in the campaign's one checkpoint file.  The loop's dispatch
+rule:
 
 * shards run **in the calling process** if and only if ``workers == 1``
   and there is no :class:`RetryPolicy`; otherwise they run through a
@@ -30,8 +32,8 @@ serial campaign.  The loop's dispatch rule:
     running past its deadline is declared hung: the pool is torn down
     (a running future cannot be cancelled), the straggler is charged
     one failure, and every other in-flight shard is re-dispatched
-    uncharged.  Shard checkpoints make the re-run cheap; determinism
-    makes it invisible.
+    uncharged.  A shard is one scenario, so the re-run is cheap;
+    determinism makes it invisible.
   - **Graceful degradation.**  More than ``max_pool_rebuilds`` rebuilds
     means the host cannot sustain a pool at all — the remaining shards
     run in-process, on the same path an unsupervised ``workers=1`` run
@@ -44,19 +46,20 @@ serial campaign.  The loop's dispatch rule:
 
 Every supervised decision is recorded once, in the structured
 :class:`OrchestrationReport` that lands next to the campaign's
-checkpoint manifest; it and the :class:`ParallelCampaignResult` are the
-run's only record.
+checkpoint; it and the :class:`ParallelCampaignResult` are the run's
+only record.
 
 The headline invariant, enforced by the chaos suite
 (``tests/test_orchestrator_chaos.py`` with :mod:`repro.faults.chaos`):
-whenever no shard ends quarantined, merged campaign outcomes and
-signatures are **bit-identical** to a clean run — retries, rebuilds and
+whenever no shard ends quarantined, campaign outcomes and signatures
+are **bit-identical** to a clean run — retries, rebuilds and
 straggler kills are invisible in the numbers.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -66,27 +69,49 @@ from pathlib import Path
 
 from repro.errors import CheckpointError, FaultModelError, OrchestrationError
 from repro.faults.campaign import (
+    CampaignCheckpoint,
     ScenarioOutcome,
-    run_checkpointed_campaign,
+    grade_scenario,
     write_json_atomic,
-)
-from repro.faults.parallel import (
-    ShardTiming,
-    _merge_campaign_outcomes,
-    _prepare_campaign,
 )
 
 __all__ = [
+    "CHECKPOINT_NAME",
     "ORCHESTRATION_REPORT_NAME",
     "OrchestrationReport",
     "ParallelCampaignResult",
     "RetryPolicy",
     "ShardAttempt",
+    "ShardTiming",
+    "resolve_workers",
     "run_parallel_checkpointed_campaign",
 ]
 
-#: Report filename, written next to the campaign's ``manifest.json``.
+#: The campaign's one checkpoint file, inside its checkpoint directory.
+CHECKPOINT_NAME = "campaign.json"
+
+#: Report filename, written next to the campaign's checkpoint.
 ORCHESTRATION_REPORT_NAME = "orchestration_report.json"
+
+
+def resolve_workers(requested: int | None) -> int:
+    """Clamp a worker count to the host's CPUs (None = all of them).
+
+    A process pool wider than ``os.cpu_count()`` cannot run faster —
+    the extra processes only time-slice the same cores and add fork,
+    pickle and scheduler overhead, which is how a 2-worker run on a
+    single-CPU host ends up *slower* than serial.  ``python -m repro
+    faultsim`` resolves its worker count through this helper so
+    oversubscription never happens by default; callers that really want
+    it can still pass an explicit ``workers`` to
+    :func:`run_parallel_checkpointed_campaign`, which does not clamp.
+    """
+    cpus = max(1, os.cpu_count() or 1)
+    if requested is None:
+        return cpus
+    if requested < 1:
+        raise FaultModelError(f"workers must be >= 1, got {requested}")
+    return min(requested, cpus)
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +227,7 @@ class ShardAttempt:
 class OrchestrationReport:
     """Structured record of a supervised run's control decisions.
 
-    Saved as JSON next to the checkpoint manifest.  ``stable_dict``
+    Saved as JSON next to the campaign checkpoint.  ``stable_dict``
     strips the wall-clock fields so chaos tests can assert that the
     *decision sequence* (attempts, statuses, backoff schedule,
     quarantine roster) is deterministic even though timings are not.
@@ -270,11 +295,21 @@ class OrchestrationReport:
         write_json_atomic(Path(path), self.to_dict())
 
 
+@dataclass(frozen=True)
+class ShardTiming:
+    """Wall-clock of one completed shard and the scenario it graded."""
+
+    index: int
+    label: str
+    seconds: float
+
+
 @dataclass
 class ParallelCampaignResult:
-    """A sharded campaign's merged outcomes and shard-level accounting.
+    """A sharded campaign's outcomes and shard-level accounting.
 
-    ``outcomes`` covers exactly the scenarios whose shards completed;
+    ``outcomes`` covers exactly the scenarios whose shards completed, in
+    the caller's scenario order;
     ``quarantined_labels`` enumerates the rest (only a supervised run
     under ``allow_partial`` can have any), so coverage computed from
     this result is an explicit *lower bound* over an explicit
@@ -303,33 +338,25 @@ class ParallelCampaignResult:
 # ----------------------------------------------------------------------
 
 def _campaign_shard_worker(spec: dict):
-    """Run one scenario shard to completion: ``(outcomes, seconds)``.
+    """Grade one shard's scenario: ``(outcome, seconds)``.
 
-    Rebuilds the program builders from the provider, then delegates to
-    the serial supervised campaign with the shard's own checkpoint file
-    — the same code path, the same checkpoint format, just a smaller
-    scenario list.
+    Rebuilds the program builders from the provider, then grades the
+    scenario exactly as the serial campaign does.  It writes nothing:
+    the dispatching process records the outcome.
     """
     start = time.perf_counter()
     chaos = spec["chaos"]
-    on_scenario = None
     if chaos is not None:
-        index, attempt, in_process = (
-            spec["index"], spec["attempt"], spec["in_process"]
-        )
-        chaos.fire(index, attempt, in_process=in_process)
-        on_scenario = chaos.progress_hook(index, attempt, in_process=in_process)
-    outcomes = run_checkpointed_campaign(
+        chaos.fire(spec["index"], spec["attempt"], in_process=spec["in_process"])
+    outcome = grade_scenario(
         spec["provider"](),
-        spec["scenarios"],
+        spec["scenario"],
         spec["models"],
-        spec["checkpoint_path"],
-        modules=spec["modules"],
+        spec["modules"],
         max_cycles=spec["max_cycles"],
         audit=spec["audit"],
-        on_scenario=on_scenario,
     )
-    return outcomes, time.perf_counter() - start
+    return outcome, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -372,11 +399,11 @@ def _supervise(
     of one shard attempt; this loop runs it through the pool, or in this
     process — the whole run when ``workers == 1`` and ``policy`` is
     None, and the supervised run's degraded endgame.
-    ``on_complete(index, outcomes, seconds)`` receives each shard's
+    ``on_complete(index, outcome, seconds)`` receives each shard's
     result exactly once.  Without a policy the first shard exception
     propagates unchanged (after the pool is torn down).  The caller
-    merges results in shard order afterwards, so completion order — the
-    one thing chaos *does* perturb — never reaches a result.
+    returns outcomes in its own scenario order, so completion order —
+    the one thing chaos *does* perturb — never reaches a result.
     """
     states = {index: _ShardState(index) for index in indices}
     if not states:
@@ -412,10 +439,10 @@ def _supervise(
             return
         # Running futures cannot be cancelled and a hung worker never
         # returns, so reclamation is forcible: drop queued work, then
-        # terminate the worker processes outright.  Shard checkpoints
-        # commit via fsync+rename *before* a future resolves, so a
-        # terminated worker can lose at most in-progress (re-runnable)
-        # work, never recorded work.
+        # terminate the worker processes outright.  Workers hold no
+        # durable state (this process records each outcome once its
+        # future resolves), so a terminated worker loses at most
+        # in-progress, re-runnable work.
         processes = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -675,37 +702,36 @@ def run_parallel_checkpointed_campaign(
     module-level function or :func:`functools.partial` of one) returning
     the core-id -> program-builder dict; it is invoked once per shard,
     inside the worker, so closures never cross the process boundary.
-    Every scenario is its own shard (longest first, see
-    :func:`~repro.faults.parallel.plan_campaign_shards`), and each shard
-    runs the ordinary serial campaign against its own checkpoint file
-    under ``checkpoint_dir``.
+    Every scenario is its own shard.  Shards are numbered and dispatched
+    longest first: three-core scenarios (one more core to simulate and
+    grade) before two-core ones, then by label.
 
-    The shard layout is pinned in ``manifest.json`` on first run;
-    resuming re-validates the manifest (modules, scenario set), loads
-    every shard checkpoint, and re-schedules **only incomplete
-    shards** — with any worker count, which is why a campaign started
-    with N workers can be finished with M.  Scenario outcomes are
-    deterministic per scenario (fresh SoC, no cross-scenario state), so
-    the merged result is bit-identical for every worker count and
-    every caller order of the scenarios.
+    This process owns the campaign's one checkpoint,
+    ``<checkpoint_dir>/campaign.json``, and records each outcome as its
+    shard completes; workers only compute.  A resume grades only the
+    scenarios whose label the checkpoint lacks, with any worker count
+    and any scenario set: a label fully determines its scenario, so a
+    recorded outcome is reused wherever its label recurs.  Scenario
+    outcomes are deterministic (fresh SoC, no cross-scenario state), so
+    the result is bit-identical for every worker count and every caller
+    order, and comes back in the caller's order.  A directory holding a
+    ``manifest.json`` (the retired one-file-per-shard layout) is
+    refused.
 
     Dispatch follows the module's rule: in this process at
     ``workers=1`` without a policy, over a process pool otherwise.
-    ``on_shard(index, outcomes)`` fires in the parent as each shard
-    completes (kill-injection hook).
+    ``on_shard(index, outcome)`` fires in this process after each
+    shard's outcome is recorded (kill-injection hook).
 
     Without ``policy`` the first shard exception propagates unchanged;
-    every scenario a shard checkpointed before it failed stays on disk
-    for the resume.  With a :class:`RetryPolicy` shard failures are
-    retried with deterministic backoff, a broken pool is rebuilt with
-    isolation-mode blame attribution, a hung shard is re-dispatched
-    after ``shard_timeout``, and persistent failure quarantines the
-    shard.  Because shard checkpoints commit scenario-by-scenario, a
-    retried shard resumes mid-shard and never re-grades (or
-    double-counts) a recorded scenario.  The :class:`OrchestrationReport`
-    is then written to ``<checkpoint_dir>/orchestration_report.json``
-    in every case, including the failure path; quarantined shards raise
-    :class:`~repro.errors.OrchestrationError` unless
+    every outcome recorded before it stays on disk for the resume.  With
+    a :class:`RetryPolicy` shard failures are retried with deterministic
+    backoff, a broken pool is rebuilt with isolation-mode blame
+    attribution, a hung shard is re-dispatched after ``shard_timeout``,
+    and persistent failure quarantines the shard.  The
+    :class:`OrchestrationReport` is then written to
+    ``<checkpoint_dir>/orchestration_report.json``; quarantined shards
+    raise :class:`~repro.errors.OrchestrationError` unless
     ``policy.allow_partial``, in which case the result's quarantine
     roster makes the loss explicit.  ``chaos`` (failure injection for
     tests) requires a policy.
@@ -715,11 +741,28 @@ def run_parallel_checkpointed_campaign(
             "chaos runs require a RetryPolicy (the supervised path); "
             "an unsupervised campaign has no failure handling to exercise"
         )
-    directory, plan, labels, shard_scenarios, completed, scheduled = (
-        _prepare_campaign(scenarios, modules, checkpoint_dir, workers)
+    scenarios = tuple(scenarios)
+    labels = [scenario.label for scenario in scenarios]
+    if len(set(labels)) != len(labels):
+        raise CheckpointError("duplicate scenario labels in campaign")
+    if workers < 1:
+        raise CheckpointError(f"workers must be >= 1, got {workers}")
+    directory = Path(checkpoint_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    if (directory / "manifest.json").exists():
+        raise CheckpointError(
+            f"{directory / 'manifest.json'} belongs to the retired "
+            "one-file-per-shard layout; grade into a fresh directory"
+        )
+    checkpoint = CampaignCheckpoint(directory / CHECKPOINT_NAME, modules)
+    ordered = sorted(scenarios, key=lambda s: (-len(s.active_cores), s.label))
+    scheduled = tuple(
+        index
+        for index, scenario in enumerate(ordered)
+        if not checkpoint.done(scenario.label)
     )
     report = OrchestrationReport(
-        num_shards=plan.num_shards,
+        num_shards=len(ordered),
         workers=workers,
         policy=policy.to_dict() if policy is not None else {},
     )
@@ -733,33 +776,24 @@ def run_parallel_checkpointed_campaign(
             "in_process": in_process,
             "chaos": chaos,
             "provider": builders_provider,
-            "scenarios": shard_scenarios[index],
+            "scenario": ordered[index],
             "models": models,
-            "checkpoint_path": str(directory / plan.checkpoint_name(index)),
             "modules": tuple(modules),
             "max_cycles": max_cycles,
             "audit": audit,
         }
 
-    def on_complete(index, outcomes, seconds):
-        completed[index] = outcomes
-        timings.append(
-            ShardTiming(
-                index=index,
-                items=len(shard_scenarios[index]),
-                seconds=seconds,
-            )
-        )
+    def on_complete(index, outcome, seconds):
+        checkpoint.record(outcome)
+        timings.append(ShardTiming(index, outcome.label, seconds))
         if on_shard is not None:
-            on_shard(index, outcomes)
+            on_shard(index, outcome)
 
     _supervise(scheduled, spec_for, workers, policy, report, on_complete)
 
     quarantined_shards = tuple(report.quarantined)
     quarantined_labels = tuple(
-        label
-        for index in quarantined_shards
-        for label in plan.labels[index]
+        ordered[index].label for index in quarantined_shards
     )
     timings.sort(key=lambda t: t.index)
     if policy is not None:
@@ -771,17 +805,25 @@ def run_parallel_checkpointed_campaign(
             f"{directory / ORCHESTRATION_REPORT_NAME} "
             "(pass allow_partial=True to accept a partial campaign)"
         )
-    # Present outcomes in the caller's scenario order, like the serial
-    # campaign's insertion-ordered checkpoint dict.
-    ordered = _merge_campaign_outcomes(
-        labels, completed, missing_ok=quarantined_labels
-    )
+    missing = [
+        label
+        for label in labels
+        if not checkpoint.done(label) and label not in quarantined_labels
+    ]
+    if missing:
+        raise CheckpointError(
+            f"campaign finished with unaccounted scenarios {missing[:5]}"
+        )
     return ParallelCampaignResult(
-        outcomes=ordered,
+        outcomes={
+            label: checkpoint.outcomes[label]
+            for label in labels
+            if checkpoint.done(label)
+        },
         shard_timings=timings,
-        num_shards=plan.num_shards,
+        num_shards=len(ordered),
         workers=workers,
-        scheduled=tuple(scheduled),
+        scheduled=scheduled,
         quarantined_shards=quarantined_shards,
         quarantined_labels=quarantined_labels,
         report=report if policy is not None else None,

@@ -132,7 +132,7 @@ def test_unknown_module_is_rejected(tmp_path):
 def test_checkpoint_quarantines_garbage_file(tmp_path):
     """Rotted bytes are corruption, not a caller error: the file moves
     to a .corrupt sidecar with a warning and the checkpoint starts
-    empty (the shard recomputes; the evidence survives)."""
+    empty (the campaign recomputes; the evidence survives)."""
     path = tmp_path / "c.json"
     path.write_text("not json {")
     with pytest.warns(CheckpointCorruptionWarning, match="unreadable"):

@@ -1,13 +1,13 @@
-"""Checkpoint/manifest integrity: content digests and corruption recovery.
+"""Checkpoint integrity: content digests and corruption recovery.
 
-Every campaign file (per-shard checkpoints, the shard-layout manifest)
-embeds a blake2b content digest over its canonical JSON.  These tests
-pin the whole corruption story: truncated, garbage, valid-JSON-but-
-tampered files and valid JSON that is not an object are detected,
+The campaign checkpoint (``campaign.json``) embeds a blake2b content
+digest over its canonical JSON.  These tests pin the whole corruption
+story: truncated, garbage, valid-JSON-but-tampered files, valid JSON
+that is not an object and a payload without a digest are detected,
 quarantined to a ``.corrupt`` sidecar with a
 :class:`~repro.errors.CheckpointCorruptionWarning` (bytes preserved,
-never silently deleted), and the campaign recomputes the lost shard to
-outcomes bit-identical to an undisturbed run.  Incompatibility
+never silently deleted), and the campaign grades every scenario again,
+to outcomes bit-identical to an undisturbed run.  Incompatibility
 (version / module mismatch) still raises — rot restarts, caller errors
 do not.
 """
@@ -30,7 +30,7 @@ from repro.faults.campaign import (
     content_digest,
     verify_payload,
 )
-from repro.faults.parallel import MANIFEST_NAME
+from repro.faults.orchestrator import CHECKPOINT_NAME
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 
@@ -85,9 +85,17 @@ def test_content_digest_detects_value_changes():
     assert content_digest({"a": 1}) != content_digest({"a": 2})
 
 
-def test_verify_payload_accepts_missing_digest(tmp_path):
-    # Pre-checksum files must remain loadable.
-    assert verify_payload(tmp_path / "x.json", {"a": 1}) is None
+def test_checkpoint_without_digest_is_quarantined(tmp_path):
+    # Every checkpoint is written with a digest, so a file without one
+    # is rot, not an old format: quarantined, never half-parsed.
+    path = tmp_path / "checkpoint.json"
+    text = '{"version":1,"modules":["FWD"],"scenarios":[{"label":"x"}]}'
+    path.write_text(text)
+    with pytest.warns(CheckpointCorruptionWarning, match="no content digest"):
+        checkpoint = CampaignCheckpoint(path, ("FWD",))
+    assert checkpoint.outcomes == {}
+    assert not path.exists()
+    assert (tmp_path / ("checkpoint.json" + CORRUPT_SUFFIX)).read_text() == text
 
 
 def test_verify_payload_reports_mismatch(tmp_path):
@@ -96,7 +104,7 @@ def test_verify_payload_reports_mismatch(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Shard checkpoints: every corruption mode quarantines and recomputes.
+# The checkpoint: every corruption mode quarantines and recomputes.
 # ----------------------------------------------------------------------
 
 
@@ -106,7 +114,7 @@ def test_corrupt_shard_checkpoint_recovers_bit_identical(tmp_path, mode):
 
     directory = tmp_path / "campaign"
     run_small(directory)
-    target = directory / "shard_000.json"
+    target = directory / CHECKPOINT_NAME
     original = target.read_bytes()
     corrupt(target, mode)
     assert target.read_bytes() != original
@@ -115,6 +123,8 @@ def test_corrupt_shard_checkpoint_recovers_bit_identical(tmp_path, mode):
         resumed = run_small(directory)
     sidecar = directory / (target.name + CORRUPT_SUFFIX)
     assert sidecar.exists()  # evidence preserved for post-mortem
+    # The whole campaign was graded again.
+    assert resumed.scheduled == tuple(range(len(SCENARIOS)))
     assert outcome_dicts(resumed) == outcome_dicts(reference)
     # The recomputed file is valid again: a third run is pure reads.
     third = run_small(directory)
@@ -122,29 +132,12 @@ def test_corrupt_shard_checkpoint_recovers_bit_identical(tmp_path, mode):
     assert outcome_dicts(third) == outcome_dicts(reference)
 
 
-@pytest.mark.parametrize("mode", CORRUPTION_MODES)
-def test_corrupt_manifest_recovers_bit_identical(tmp_path, mode):
-    reference = run_small(tmp_path / "reference")
-
-    directory = tmp_path / "campaign"
-    run_small(directory)
-    corrupt(directory / MANIFEST_NAME, mode)
-
-    with pytest.warns(CheckpointCorruptionWarning):
-        resumed = run_small(directory)
-    assert (directory / (MANIFEST_NAME + CORRUPT_SUFFIX)).exists()
-    # plan_campaign_shards is pure, so the re-planned layout re-adopted
-    # the existing shard checkpoints: nothing was re-executed.
-    assert resumed.scheduled == ()
-    assert outcome_dicts(resumed) == outcome_dicts(reference)
-
-
 def test_tamper_is_caught_only_by_the_digest(tmp_path):
     """The nastiest mode stays valid JSON — json.loads alone would
     accept it; the embedded digest is what catches it."""
     directory = tmp_path / "campaign"
     run_small(directory)
-    target = directory / "shard_000.json"
+    target = directory / CHECKPOINT_NAME
     corrupt_file(target, "tamper")
     data = json.loads(target.read_text())  # parses fine
     assert verify_payload(target, data) is not None

@@ -71,9 +71,34 @@ def test_faultsim_json_summary(tmp_path):
         "workers", "num_shards", "scenarios", "modules", "elapsed_seconds",
         "failed", "coverage_ranges", "shards",
     }
-    assert sum(shard["scenarios"] for shard in payload["shards"]) == 18
+    assert payload["num_shards"] == 18
+    for shard in payload["shards"]:
+        assert set(shard) == {"index", "label", "seconds"}
+    assert len({shard["label"] for shard in payload["shards"]}) == 18
     assert payload["coverage_ranges"]
     assert all(entry["stable"] for entry in payload["coverage_ranges"])
+
+
+def test_faultsim_lists_failed_scenarios(tmp_path, monkeypatch, capsys):
+    """A scenario whose simulation raises is a failed scenario (exit 1),
+    not a quarantined shard: the campaign records its error outcome."""
+    import repro.core.determinism as determinism
+    from repro.errors import SimulationError
+
+    victim = determinism.default_scenarios()[0].label
+    original = determinism.run_scenario
+
+    def run_scenario(builders, scenario, *args, **kwargs):
+        if scenario.label == victim:
+            raise SimulationError("injected")
+        return original(builders, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(determinism, "run_scenario", run_scenario)
+    path = tmp_path / "faultsim.json"
+    argv = ["faultsim", "--small", "--workers", "1", "--modules", "FWD"]
+    assert main([*argv, "--json", str(path)]) == 1
+    assert f"failed scenarios: {victim}" in capsys.readouterr().out
+    assert json.loads(path.read_text())["failed"] == [victim]
 
 
 def test_paper_reference_values_complete():

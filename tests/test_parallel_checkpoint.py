@@ -1,10 +1,10 @@
-"""Crash injection around per-shard checkpoints + worker-count interop.
+"""Crash injection around the campaign checkpoint + resume interop.
 
-A worker killed mid-shard (or a checkpoint or manifest write that dies
-mid-save) must never double-count detected faults on resume, a
-campaign started with N workers must finish under M workers with
-bit-identical coverage, and a campaign directory laid out with several
-scenarios per shard still resumes under its own manifest.
+A worker killed mid-shard (or a checkpoint write that dies mid-save)
+must never double-count detected faults on resume, a campaign started
+with N workers must finish under M workers with bit-identical coverage,
+a resume over a changed scenario set reuses every matching outcome, and
+a directory in the retired one-file-per-shard layout is refused.
 """
 
 import json
@@ -14,16 +14,13 @@ from functools import partial
 import pytest
 
 from repro.core.determinism import Scenario
-from repro.errors import CheckpointCorruptionWarning, CheckpointError
+from repro.errors import CheckpointError
 from repro.faults import (
     CampaignCheckpoint,
     ScenarioOutcome,
-    merge_outcome_maps,
-    plan_campaign_shards,
     run_parallel_checkpointed_campaign,
 )
-from repro.faults.campaign import CHECKPOINT_VERSION, content_digest
-from repro.faults.parallel import MANIFEST_NAME
+from repro.faults.orchestrator import CHECKPOINT_NAME
 from repro.faults.workload import (
     DEFAULT_CAMPAIGN_MODELS,
     forwarding_builders,
@@ -38,8 +35,12 @@ SCENARIOS = (
 )
 
 
-#: Shard labels of the campaign's one-scenario-per-shard plan.
-PLAN = plan_campaign_shards(SCENARIOS, ("FWD",)).labels
+def recorded_labels(directory):
+    """Labels in the campaign checkpoint, in recording order."""
+    path = directory / CHECKPOINT_NAME
+    if not path.exists():
+        return []
+    return [entry["label"] for entry in json.loads(path.read_text())["scenarios"]]
 
 
 def crashy_builders(sentinel: str, crash_at: int):
@@ -116,8 +117,7 @@ def test_killed_worker_mid_shard_resumes_without_double_count(
             workers=2,
         )
     # The killed shard never claimed its scenario.
-    victim_index = PLAN.index((victim.label,))
-    assert not (directory / f"shard_{victim_index:03d}.json").exists()
+    assert victim.label not in recorded_labels(directory)
 
     # The worker is "replaced" (sentinel defuses the crash) and the
     # campaign resumed with a different worker count.
@@ -130,7 +130,7 @@ def test_killed_worker_mid_shard_resumes_without_double_count(
         modules=("FWD",),
         workers=1,
     )
-    assert victim_index in resumed.scheduled
+    assert victim.label in [t.label for t in resumed.shard_timings]
     assert outcome_dicts(resumed.outcomes) == reference
     # Every scenario appears exactly once — coverage totals equal the
     # uninterrupted run's, so nothing was double-counted.
@@ -156,8 +156,9 @@ def test_unsupervised_workers_one_runs_shards_in_calling_process(
 
 def test_unsupervised_workers_one_reraises_shard_error_unchanged(tmp_path):
     directory = tmp_path / "campaign"
-    # Shards run in plan order; the kill lands in the middle one.
-    (victim,) = [s for s in SCENARIOS if (s.label,) == PLAN[1]]
+    # Shards run longest first: the three-core scenario, then the two
+    # two-core ones by label.  The kill lands in the middle one.
+    victim = SCENARIOS[0]
     provider = partial(
         crashy_builders, str(tmp_path / "sentinel"), core0_address(victim)
     )
@@ -175,10 +176,7 @@ def test_unsupervised_workers_one_reraises_shard_error_unchanged(tmp_path):
     assert type(info.value) is RuntimeError
     assert info.value.__cause__ is None
     # The shard before the kill survives; nothing after it ran.
-    saved = json.loads((directory / "shard_000.json").read_text())
-    assert len(saved["scenarios"]) == 1
-    assert not (directory / "shard_001.json").exists()
-    assert not (directory / "shard_002.json").exists()
+    assert recorded_labels(directory) == [SCENARIOS[2].label]
 
 
 def test_crash_during_checkpoint_save_rolls_back(tmp_path, monkeypatch):
@@ -223,7 +221,7 @@ def test_failed_save_of_updated_outcome_restores_previous(
     assert checkpoint.outcomes["s1"] is original
 
 
-def test_crash_during_manifest_save_leaves_no_tmp_file(
+def test_crash_during_campaign_save_leaves_no_tmp_file(
     tmp_path, monkeypatch, reference
 ):
     directory = tmp_path / "campaign"
@@ -235,20 +233,11 @@ def test_crash_during_manifest_save_leaves_no_tmp_file(
     with pytest.raises(OSError, match="simulated kill"):
         run_small(directory, modules=("FWD",), workers=1)
     monkeypatch.undo()
-    assert not (directory / MANIFEST_NAME).exists()
+    assert not (directory / CHECKPOINT_NAME).exists()
     assert not list(directory.glob("*.tmp*"))
-    # Nothing was claimed, so the next run plans and completes afresh.
+    # Nothing was claimed, so the next run grades every scenario.
     result = run_small(directory, modules=("FWD",), workers=1)
     assert outcome_dicts(result.outcomes) == reference
-
-
-def test_merge_outcome_maps_rejects_duplicate_scenarios():
-    a = {"s1": ScenarioOutcome(label="s1")}
-    b = {"s2": ScenarioOutcome(label="s2"), "s1": ScenarioOutcome(label="s1")}
-    with pytest.raises(CheckpointError, match="multiple shards"):
-        merge_outcome_maps([a, b])
-    merged = merge_outcome_maps([a, {"s2": ScenarioOutcome(label="s2")}])
-    assert sorted(merged) == ["s1", "s2"]
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +251,7 @@ def test_resume_with_different_worker_count(tmp_path, reference):
     class Killed(Exception):
         pass
 
-    def kill_after_first_shard(index, outcomes):
+    def kill_after_first_shard(index, outcome):
         raise Killed(f"killed after shard {index}")
 
     with pytest.raises(Killed):
@@ -276,8 +265,7 @@ def test_resume_with_different_worker_count(tmp_path, reference):
             on_shard=kill_after_first_shard,
         )
 
-    # Resume with a different worker count: the pinned manifest layout
-    # wins.
+    # Resume with a different worker count.
     resumed = run_parallel_checkpointed_campaign(
         small_provider(),
         SCENARIOS,
@@ -287,8 +275,8 @@ def test_resume_with_different_worker_count(tmp_path, reference):
         workers=3,
     )
     assert resumed.num_shards == 3
-    # At least one shard completed before the kill, so the resume
-    # re-schedules strictly fewer shards than the manifest holds.
+    # At least one shard was recorded before the kill, so the resume
+    # re-schedules strictly fewer shards than the campaign has.
     assert len(resumed.scheduled) < resumed.num_shards
     assert outcome_dicts(resumed.outcomes) == reference
 
@@ -304,6 +292,8 @@ def test_fully_completed_campaign_resumes_as_pure_reads(tmp_path, reference):
         workers=2,
     )
     assert outcome_dicts(first.outcomes) == reference
+    # The pool workers wrote nothing: one checkpoint, no staging litter.
+    assert {path.name for path in directory.iterdir()} == {CHECKPOINT_NAME}
     second = run_parallel_checkpointed_campaign(
         small_provider(),
         SCENARIOS,
@@ -318,7 +308,7 @@ def test_fully_completed_campaign_resumes_as_pure_reads(tmp_path, reference):
 
 
 # ----------------------------------------------------------------------
-# Manifest hygiene.
+# Resume hygiene.
 # ----------------------------------------------------------------------
 
 
@@ -339,97 +329,54 @@ def test_resume_rejects_different_modules(tmp_path):
         run_small(directory, modules=("FWD", "ICU"), workers=1)
 
 
-def test_resume_rejects_different_scenario_set(tmp_path):
-    directory = tmp_path / "campaign"
-    run_small(directory, modules=("FWD",), workers=1)
-    with pytest.raises(CheckpointError, match="different scenario set"):
-        run_parallel_checkpointed_campaign(
-            small_provider(),
-            SCENARIOS[:2],
-            DEFAULT_CAMPAIGN_MODELS,
-            directory,
-            modules=("FWD",),
-            workers=1,
-        )
-
-
-def test_garbage_manifest_is_quarantined_and_replanned(tmp_path, reference):
-    """A rotted manifest is moved aside with a warning, not fatal: the
-    layout is a pure function of the scenario set, so the campaign
-    re-plans and completes with the reference outcomes."""
-    directory = tmp_path / "campaign"
-    directory.mkdir()
-    (directory / MANIFEST_NAME).write_text("not json {")
-    with pytest.warns(CheckpointCorruptionWarning, match="unreadable"):
-        result = run_small(directory, modules=("FWD",), workers=1)
-    sidecar = directory / (MANIFEST_NAME + ".corrupt")
-    assert sidecar.exists()
-    assert sidecar.read_text() == "not json {"  # evidence preserved
-    assert (directory / MANIFEST_NAME).exists()  # fresh, valid manifest
-    assert outcome_dicts(result.outcomes) == reference
-
-
-def test_corrupt_manifest_replans_whatever_the_caller_order(
+def test_resume_with_changed_scenario_set_reuses_matching_outcomes(
     tmp_path, reference
 ):
-    """Re-planning after a lost manifest re-adopts every shard
-    checkpoint even when the caller lists the scenarios differently
-    from the first run: the layout depends on the set, not the order."""
+    """A label fully determines its scenario, so a resume over a subset
+    reuses every outcome it lists and a superset grades only the new
+    scenarios; both are bit-identical to the uninterrupted run."""
     directory = tmp_path / "campaign"
-    run_small(directory, modules=("FWD",), workers=1)
-    (directory / MANIFEST_NAME).write_text("not json {")
+    subset = run_parallel_checkpointed_campaign(
+        small_provider(),
+        SCENARIOS[:2],
+        DEFAULT_CAMPAIGN_MODELS,
+        directory,
+        modules=("FWD",),
+        workers=1,
+    )
+    assert outcome_dicts(subset.outcomes) == {
+        label: reference[label] for label in subset.outcomes
+    }
+    assert run_parallel_checkpointed_campaign(
+        small_provider(),
+        SCENARIOS[1:2],
+        DEFAULT_CAMPAIGN_MODELS,
+        directory,
+        modules=("FWD",),
+        workers=1,
+    ).scheduled == ()
     reordered = SCENARIOS[::-1]
-    with pytest.warns(CheckpointCorruptionWarning):
-        result = run_parallel_checkpointed_campaign(
-            small_provider(),
-            reordered,
-            DEFAULT_CAMPAIGN_MODELS,
-            directory,
-            modules=("FWD",),
-            workers=1,
-        )
-    assert result.scheduled == ()
-    assert outcome_dicts(result.outcomes) == reference
+    superset = run_parallel_checkpointed_campaign(
+        small_provider(),
+        reordered,
+        DEFAULT_CAMPAIGN_MODELS,
+        directory,
+        modules=("FWD",),
+        workers=2,
+    )
+    assert [t.label for t in superset.shard_timings] == [SCENARIOS[2].label]
+    assert outcome_dicts(superset.outcomes) == reference
     # Outcomes come back in the caller's order.
-    assert list(result.outcomes) == [s.label for s in reordered]
+    assert list(superset.outcomes) == [s.label for s in reordered]
+    assert sorted(recorded_labels(directory)) == sorted(reference)
 
 
-def write_payload(path, data):
-    path.write_text(json.dumps({**data, "digest": content_digest(data)}))
-
-
-def test_multi_label_manifest_resumes_under_its_own_layout(
-    tmp_path, reference
-):
-    """A directory laid out with several scenarios per shard (and an
-    empty shard), holding a half-done shard checkpoint whose outcome
-    still carries the old per-scenario ``attempts`` key, resumes under
-    its pinned layout to the reference outcomes."""
+def test_old_layout_directory_is_refused(tmp_path):
+    """A directory written with one checkpoint per shard and a
+    ``manifest.json`` is refused by name, never silently re-run."""
     directory = tmp_path / "campaign"
     directory.mkdir()
-    first, second, third = (s.label for s in SCENARIOS)
-    layout = [[first, second], [], [third]]
-    write_payload(
-        directory / MANIFEST_NAME,
-        {
-            "version": CHECKPOINT_VERSION,
-            "modules": ["FWD"],
-            "num_shards": len(layout),
-            "labels": layout,
-        },
-    )
-    write_payload(
-        directory / "shard_000.json",
-        {
-            "version": CHECKPOINT_VERSION,
-            "modules": ["FWD"],
-            "scenarios": [{**reference[first], "attempts": 1}],
-        },
-    )
-    result = run_small(directory, modules=("FWD",), workers=1)
-    assert result.num_shards == 3
-    assert result.scheduled == (0, 2)
-    assert outcome_dicts(result.outcomes) == reference
-    assert json.loads((directory / MANIFEST_NAME).read_text())["labels"] == layout
-    saved = json.loads((directory / "shard_000.json").read_text())
-    assert [entry["label"] for entry in saved["scenarios"]] == [first, second]
+    (directory / "manifest.json").write_text("{}")
+    with pytest.raises(CheckpointError, match="manifest.json"):
+        run_small(directory, modules=("FWD",), workers=1)
+    assert {path.name for path in directory.iterdir()} == {"manifest.json"}

@@ -1,21 +1,22 @@
-"""Property tests of the campaign's shard planner.
+"""Property tests of the campaign's shard dispatch and outcome order.
 
-A sharded campaign is only equivalent to the serial one if its shard
-layout is a true partition of the scenario matrix: every label in
-exactly one shard, one label per shard.  The plan runs three-core
-scenarios before two-core ones (they cost more), and it depends only on
-the scenario *set*: re-planning after a lost manifest must re-adopt the
-existing shard checkpoints even when the caller lists the scenarios in
-another order.  The permutation property also runs under
-``hypothesis`` when it is installed.
+A sharded campaign is only equivalent to the serial one if every
+scenario is dispatched exactly once and its outcome comes back once, in
+the caller's scenario order.  Shards run three-core scenarios before
+two-core ones (they cost more), then by label, whatever order the
+caller lists them in.  The dispatch order is read from ``on_shard`` in
+the calling process (``workers=1``), with grading stubbed out so the
+full matrix costs milliseconds.  The permutation property also runs
+under ``hypothesis`` when it is installed.
 """
 
 import random
+import tempfile
 
 import pytest
 
 from repro.core.determinism import default_scenarios
-from repro.faults import plan_campaign_shards
+from repro.faults import ScenarioOutcome, run_parallel_checkpointed_campaign
 
 try:
     from hypothesis import given, settings
@@ -29,16 +30,37 @@ MODULES = ("FWD", "HDCU", "ICU")
 SEEDS = tuple(range(8))
 
 
-def check_plan(scenarios, plan):
-    """One shard per scenario, every label once, longest first."""
-    assert plan.num_shards == len(plan.labels) == len(scenarios)
-    assert all(len(shard) == 1 for shard in plan.labels)
-    flattened = [label for shard in plan.labels for label in shard]
-    assert sorted(flattened) == sorted(scenario.label for scenario in scenarios)
-    assert len(set(flattened)) == len(flattened)
+def stub_grade(builders, scenario, models, modules, **kwargs):
+    return ScenarioOutcome(label=scenario.label)
+
+
+def dispatch(scenarios):
+    """Run a stub-graded campaign in-process: ``(shard order, result)``."""
+    order = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.faults.orchestrator.grade_scenario", stub_grade)
+        result = run_parallel_checkpointed_campaign(
+            dict,
+            scenarios,
+            {},
+            tmp,
+            modules=MODULES,
+            on_shard=lambda index, outcome: order.append(outcome.label),
+        )
+    return order, result
+
+
+def check_dispatch(scenarios, order, result):
+    """Every scenario once, longest first; outcomes in caller order."""
+    labels = [scenario.label for scenario in scenarios]
+    assert sorted(order) == sorted(labels)
+    assert len(set(order)) == len(order)
     cores = {scenario.label: len(scenario.active_cores) for scenario in scenarios}
-    order = [(-cores[label], label) for label in flattened]
-    assert order == sorted(order)
+    keys = [(-cores[label], label) for label in order]
+    assert keys == sorted(keys)
+    assert result.num_shards == len(scenarios)
+    assert [timing.label for timing in result.shard_timings] == order
+    assert list(result.outcomes) == labels
 
 
 @pytest.mark.parametrize("seed", (1, 2, 7, 16, 40))
@@ -46,37 +68,29 @@ def test_scenario_plan_partitions_the_matrix(seed):
     """The full matrix, listed in a seed-shuffled order."""
     scenarios = list(default_scenarios())
     random.Random(seed).shuffle(scenarios)
-    plan = plan_campaign_shards(scenarios, MODULES)
-    check_plan(scenarios, plan)
-    assert plan.modules == MODULES
-    # Every three-core scenario is planned before any two-core one.
+    order, result = dispatch(scenarios)
+    check_dispatch(scenarios, order, result)
+    # Every three-core scenario is dispatched before any two-core one.
     three_core = sum(len(s.active_cores) == 3 for s in scenarios)
     assert 0 < three_core < len(scenarios)
-    assert all(
-        label.startswith("cores012_")
-        for (label,) in plan.labels[:three_core]
-    )
-    # The caller's order does not reach the plan.
-    assert plan_campaign_shards(default_scenarios(), MODULES) == plan
+    assert all(label.startswith("cores012_") for label in order[:three_core])
+    # The caller's order does not reach the dispatch order.
+    assert dispatch(default_scenarios())[0] == order
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shard_assignment_is_deterministic(seed):
-    """A random sub-matrix plans the full matrix's order restricted to
-    its labels, whatever order the caller lists it in."""
+    """A random sub-matrix dispatches in the full matrix's order
+    restricted to its labels, whatever order the caller lists it in."""
     rng = random.Random(seed)
     scenarios = default_scenarios()
     subset = [s for s in scenarios if rng.random() < 0.5]
-    full = plan_campaign_shards(scenarios, MODULES)
-    partial = plan_campaign_shards(subset, MODULES)
-    check_plan(subset, partial)
-    shuffled = list(subset)
-    rng.shuffle(shuffled)
-    assert plan_campaign_shards(shuffled, MODULES) == partial
+    rng.shuffle(subset)
+    order, result = dispatch(subset)
+    check_dispatch(subset, order, result)
     kept = {scenario.label for scenario in subset}
-    assert partial.labels == tuple(
-        shard for shard in full.labels if shard[0] in kept
-    )
+    full_order, _ = dispatch(scenarios)
+    assert order == [label for label in full_order if label in kept]
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +109,7 @@ if HAVE_HYPOTHESIS:
     def test_hypothesis_partition_completeness(picks, data):
         matrix = default_scenarios()
         scenarios = [matrix[index] for index in sorted(picks)]
-        plan = plan_campaign_shards(scenarios, MODULES)
-        check_plan(scenarios, plan)
+        order, result = dispatch(scenarios)
+        check_dispatch(scenarios, order, result)
         permuted = data.draw(st.permutations(scenarios))
-        assert plan_campaign_shards(permuted, MODULES) == plan
+        assert dispatch(permuted)[0] == order
