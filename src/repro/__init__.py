@@ -35,7 +35,6 @@ from repro.core import (
     finalise_with_expected,
     golden_signature,
     run_alone,
-    run_campaign,
     run_scenario,
     signature_stability,
     single_core_scenarios,
@@ -87,7 +86,6 @@ __all__ = [
     "finalise_with_expected",
     "golden_signature",
     "run_alone",
-    "run_campaign",
     "run_scenario",
     "signature_stability",
     "single_core_scenarios",

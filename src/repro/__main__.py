@@ -137,7 +137,7 @@ def _run_faultsim(argv: list[str]) -> int:
     import tempfile
 
     from repro.core.determinism import default_scenarios
-    from repro.faults.campaign import COVERAGE_GRADERS, ModuleCoverage, coverage_range
+    from repro.faults.campaign import COVERAGE_GRADERS, coverage_ranges
     from repro.faults.orchestrator import (
         RetryPolicy,
         resolve_workers,
@@ -281,17 +281,10 @@ def _run_faultsim(argv: list[str]) -> int:
 
     # Coverage ranges per (module, core) across the scenario matrix —
     # the Table II/III shape, computed from the scenario outcomes.
-    per_key: dict[tuple[str, int], list[ModuleCoverage]] = {}
-    for outcome in result.outcomes.values():
-        for entry in outcome.coverages:
-            coverage = ModuleCoverage.from_dict(entry)
-            per_key.setdefault(
-                (entry["module"], entry["core_id"]), []
-            ).append(coverage)
     rows = []
     summary = []
-    for (module, core_id), coverages in sorted(per_key.items()):
-        spread = coverage_range(coverages)
+    ranges = coverage_ranges(result.outcomes.values())
+    for (module, core_id), spread in ranges.items():
         rows.append(
             (
                 module,

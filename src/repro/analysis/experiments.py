@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.cache_wrapper import cache_wrapped_builder
 from repro.core.determinism import (
@@ -30,10 +29,11 @@ from repro.errors import SimulationError
 from repro.faults.campaign import (
     COVERAGE_GRADERS,
     CoverageRange,
-    ModuleCoverage,
     coverage_range,
-    run_checkpointed_campaign,
+    coverage_ranges,
 )
+from repro.faults.generators import get_modules
+from repro.faults.orchestrator import run_parallel_checkpointed_campaign
 from repro.isa.instructions import Csr, Instruction, Mnemonic
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
 from repro.soc.debugger import StallMonitor, StallReport
@@ -231,42 +231,43 @@ def table2_forwarding(
     plain_fc = _forwarding_campaign(plain, scenarios, soc_config)
     wrapped_fc = _forwarding_campaign(wrapped, scenarios, soc_config)
     result = Table2Result()
+    # A core active in no scenario has no coverage range, hence no row.
     for core_id, model in MODELS.items():
-        no_cache, cached = plain_fc[core_id], wrapped_fc[core_id]
-        result.rows.append(
-            Table2Row(
-                core=model.name,
-                num_faults=no_cache[0].total_faults,
-                no_cache=coverage_range(no_cache),
-                cached=coverage_range(cached),
+        if core_id in plain_fc:
+            result.rows.append(
+                Table2Row(
+                    core=model.name,
+                    num_faults=get_modules(model).forwarding_fault_count,
+                    no_cache=plain_fc[core_id],
+                    cached=wrapped_fc[core_id],
+                )
             )
-        )
     return result
 
 
 def _forwarding_campaign(
     builders, scenarios, soc_config: SocConfig
-) -> dict[int, list[ModuleCoverage]]:
-    """Core id -> its FWD coverage in every scenario it is active in.
+) -> dict[int, CoverageRange]:
+    """Core id -> its FWD coverage range over the scenarios it is active in.
 
-    One pass of the ordinary checkpointed campaign (checkpoint in a
-    temporary directory) — a failed scenario raises instead of leaving
-    a hole in the table.
+    One in-process pass of the campaign (checkpoint in a temporary
+    directory) — a failed scenario raises instead of leaving a hole in
+    the table.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        outcomes = run_checkpointed_campaign(
-            builders, scenarios, MODELS, Path(tmp) / "campaign.json",
+        outcomes = run_parallel_checkpointed_campaign(
+            lambda: builders, scenarios, MODELS, tmp,
             modules=("FWD",), soc_config=soc_config,
-        )
-    per_core: dict[int, list[ModuleCoverage]] = {core: [] for core in MODELS}
+        ).outcomes
     for outcome in outcomes.values():
         if outcome.failed:
             raise SimulationError(
                 f"Table II scenario {outcome.label} failed: {outcome.error}"
             )
-        for entry in outcome.coverages:
-            per_core[entry["core_id"]].append(ModuleCoverage.from_dict(entry))
-    return per_core
+    return {
+        core_id: spread
+        for (_, core_id), spread in coverage_ranges(outcomes.values()).items()
+    }
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ Public surface of the methodology:
 * :func:`validate_cache_residency` — rules 2.1/2.2 static checks;
 * :func:`finalise_with_expected` / :func:`golden_signature` — reference
   signature derivation;
-* :func:`run_campaign` + :func:`signature_stability` — the Section IV-C
-  determinism experiments.
+* :func:`run_scenario` + :func:`signature_stability` — the Section IV-C
+  determinism experiments (the graded campaign over many scenarios is
+  :func:`repro.faults.run_parallel_checkpointed_campaign`).
 """
 
 from repro.core.cache_wrapper import (
@@ -27,7 +28,6 @@ from repro.core.determinism import (
     Scenario,
     ScenarioResult,
     default_scenarios,
-    run_campaign,
     run_scenario,
     single_core_scenarios,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "default_scenarios",
-    "run_campaign",
     "run_scenario",
     "single_core_scenarios",
     "finalise_with_expected",

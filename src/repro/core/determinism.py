@@ -1,9 +1,9 @@
-"""Determinism campaign: run a routine across the Section IV-C scenario
-matrix and collect signatures + module-activation logs.
+"""Determinism scenarios: run a routine in one cell of the Section IV-C
+scenario matrix and collect signatures + module-activation logs.
 
 A *scenario* is (set of active cores, code position, code alignment).
-The campaign runs every active core's own program simultaneously on a
-fresh SoC and captures, per core: the final signature, the mailbox
+:func:`run_scenario` runs every active core's own program simultaneously
+on a fresh SoC and captures, per core: the final signature, the mailbox
 verdict, the activation log (for offline fault simulation) and the
 stall counters.  Signature stability across scenarios is the paper's
 first-order deliverable; fault-coverage stability is computed from the
@@ -160,17 +160,3 @@ def run_scenario(
             log=core.log,
         )
     return result
-
-
-def run_campaign(
-    builders: dict[int, ProgramBuilder],
-    scenarios: tuple[Scenario, ...],
-    soc_config: SocConfig = DEFAULT_SOC_CONFIG,
-    pcs_observable: bool = False,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> list[ScenarioResult]:
-    """Run every scenario; each starts from a cold, freshly-built SoC."""
-    return [
-        run_scenario(builders, scenario, soc_config, pcs_observable, max_cycles)
-        for scenario in scenarios
-    ]

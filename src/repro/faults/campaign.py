@@ -192,7 +192,9 @@ def coverage_range(coverages: list[ModuleCoverage]) -> CoverageRange:
 # a failure is recorded as the scenario's error outcome instead of
 # aborting the sweep, and every finished scenario is recorded in one
 # JSON checkpoint so a killed campaign resumes where it left off and
-# produces coverage identical to an uninterrupted run.
+# produces coverage identical to an uninterrupted run.  The campaign
+# loop is repro.faults.orchestrator.run_parallel_checkpointed_campaign;
+# this module holds its per-scenario grading and its checkpoint.
 # ----------------------------------------------------------------------
 
 #: Module label -> grading function over one core's activation log.
@@ -320,8 +322,6 @@ class ScenarioOutcome:
     label: str
     coverages: list[dict] = field(default_factory=list)
     error: str | None = None
-    #: Determinism-audit verdict of the graded run (``audit=True``).
-    audit: dict | None = None
     #: Final test signature per active core (JSON keys are strings).
     signatures: dict[str, int] = field(default_factory=dict)
 
@@ -337,7 +337,6 @@ class ScenarioOutcome:
             "label": self.label,
             "coverages": self.coverages,
             "error": self.error,
-            "audit": self.audit,
             "signatures": self.signatures,
         }
 
@@ -347,7 +346,6 @@ class ScenarioOutcome:
             label=data["label"],
             coverages=list(data["coverages"]),
             error=data["error"],
-            audit=data.get("audit"),
             signatures=dict(data.get("signatures", {})),
         )
 
@@ -423,18 +421,14 @@ def grade_scenario(
     models: dict[int, CoreModel],
     modules: tuple[str, ...],
     soc_config=None,
-    max_cycles: int = 4_000_000,
-    audit: bool = False,
 ) -> ScenarioOutcome:
     """Simulate one scenario and grade every active core; no I/O.
 
-    The scenario runs once, under ``max_cycles`` (the per-module
-    watchdog); a :class:`repro.errors.ReproError` becomes the outcome's
-    ``error`` instead of propagating.  A scenario is deterministic, so a
-    re-run would fail the same way.  ``run_scenario`` and the graders
-    are looked up when called, so a caller can patch them on their
-    modules.  ``audit=True`` runs under the determinism auditor and
-    records its verdict.
+    The scenario runs once, under ``run_scenario``'s cycle watchdog; a
+    :class:`repro.errors.ReproError` becomes the outcome's ``error``
+    instead of propagating.  A scenario is deterministic, so a re-run
+    would fail the same way.  ``run_scenario`` and the graders are
+    looked up when called, so a caller can patch them on their modules.
     """
     # Imported here: repro.core builds on repro.faults results in the
     # analysis layer, so the module-level direction stays faults <- core.
@@ -443,17 +437,10 @@ def grade_scenario(
 
     outcome = ScenarioOutcome(label=scenario.label)
     try:
-        result = run_scenario(
-            builders,
-            scenario,
-            soc_config or DEFAULT_SOC_CONFIG,
-            max_cycles=max_cycles,
-            audit=audit,
-        )
+        result = run_scenario(builders, scenario, soc_config or DEFAULT_SOC_CONFIG)
     except ReproError as exc:
         outcome.error = f"{type(exc).__name__}: {exc}"
         return outcome
-    outcome.audit = result.audit
     outcome.signatures = {
         str(core_id): result.per_core[core_id].signature
         for core_id in scenario.active_cores
@@ -471,39 +458,17 @@ def grade_scenario(
     return outcome
 
 
-def run_checkpointed_campaign(
-    builders,
-    scenarios,
-    models: dict[int, CoreModel],
-    checkpoint_path: str | Path,
-    modules: tuple[str, ...] = ("FWD",),
-    soc_config=None,
-    max_cycles: int = 4_000_000,
-    on_scenario=None,
-    audit: bool = False,
-) -> dict[str, ScenarioOutcome]:
-    """Run a coverage campaign serially, checkpointing every scenario.
+def coverage_ranges(outcomes) -> dict[tuple[str, int], CoverageRange]:
+    """Min-max coverage per ``(module, core_id)`` over scenario outcomes.
 
-    ``builders``/``scenarios`` are as for
-    :func:`repro.core.determinism.run_campaign`; ``models`` maps core id
-    to its :class:`CoreModel` for grading, and ``modules`` names the
-    fault lists to grade (keys of :data:`COVERAGE_GRADERS`).  Each
-    scenario is graded by :func:`grade_scenario` and recorded in the
-    checkpoint; completed scenarios found in the checkpoint are
-    skipped, so a killed campaign resumes where it left off.
-
-    ``on_scenario(outcome)``, when given, is called after each scenario
-    is checkpointed — the test hook used to simulate mid-run kills.
+    The reducer behind Table II and ``python -m repro faultsim``.  A
+    failed outcome carries no coverages, so it adds nothing; a core
+    active in no graded scenario has no key.  Keys come back sorted.
     """
-    checkpoint = CampaignCheckpoint(checkpoint_path, modules)
-    for scenario in scenarios:
-        if checkpoint.done(scenario.label):
-            continue
-        outcome = grade_scenario(
-            builders, scenario, models, modules,
-            soc_config=soc_config, max_cycles=max_cycles, audit=audit,
-        )
-        checkpoint.record(outcome)
-        if on_scenario is not None:
-            on_scenario(outcome)
-    return dict(checkpoint.outcomes)
+    per_key: dict[tuple[str, int], list[ModuleCoverage]] = {}
+    for outcome in outcomes:
+        for entry in outcome.coverages:
+            per_key.setdefault((entry["module"], entry["core_id"]), []).append(
+                ModuleCoverage.from_dict(entry)
+            )
+    return {key: coverage_range(per_key[key]) for key in sorted(per_key)}

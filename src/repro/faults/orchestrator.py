@@ -1,12 +1,12 @@
-"""The one shard-dispatch loop of the sharded campaign.
+"""The coverage campaign and its one shard-dispatch loop.
 
-:func:`run_parallel_checkpointed_campaign` makes every scenario its own
-shard, longest first, and hands the shards to one loop,
-:func:`_supervise`.  A shard grades its scenario against the full fault
-lists with :func:`~repro.faults.campaign.grade_scenario`, exactly like
-the serial campaign, and does no I/O: the calling process records every
-outcome in the campaign's one checkpoint file.  The loop's dispatch
-rule:
+:func:`run_parallel_checkpointed_campaign` is the only way to run a
+campaign.  It makes every scenario its own shard, longest first, and
+hands the shards to one loop, :func:`_supervise`.  A shard grades its
+scenario against the full fault lists with
+:func:`~repro.faults.campaign.grade_scenario` and does no I/O: the
+calling process records every outcome in the campaign's one checkpoint
+file.  The loop's dispatch rule:
 
 * shards run **in the calling process** if and only if ``workers == 1``
   and there is no :class:`RetryPolicy`; otherwise they run through a
@@ -306,7 +306,7 @@ class ShardTiming:
 
 @dataclass
 class ParallelCampaignResult:
-    """A sharded campaign's outcomes and shard-level accounting.
+    """A campaign's outcomes and shard-level accounting.
 
     ``outcomes`` covers exactly the scenarios whose shards completed, in
     the caller's scenario order;
@@ -321,7 +321,6 @@ class ParallelCampaignResult:
     outcomes: dict[str, ScenarioOutcome]
     shard_timings: list[ShardTiming] = field(default_factory=list)
     num_shards: int = 1
-    workers: int = 1
     #: Shard indices actually executed this run (resume skips the rest).
     scheduled: tuple[int, ...] = ()
     quarantined_shards: tuple[int, ...] = ()
@@ -341,8 +340,8 @@ def _campaign_shard_worker(spec: dict):
     """Grade one shard's scenario: ``(outcome, seconds)``.
 
     Rebuilds the program builders from the provider, then grades the
-    scenario exactly as the serial campaign does.  It writes nothing:
-    the dispatching process records the outcome.
+    scenario.  It writes nothing: the dispatching process records the
+    outcome.
     """
     start = time.perf_counter()
     chaos = spec["chaos"]
@@ -353,8 +352,7 @@ def _campaign_shard_worker(spec: dict):
         spec["scenario"],
         spec["models"],
         spec["modules"],
-        max_cycles=spec["max_cycles"],
-        audit=spec["audit"],
+        soc_config=spec["soc_config"],
     )
     return outcome, time.perf_counter() - start
 
@@ -679,7 +677,7 @@ def _supervise(
 
 
 # ----------------------------------------------------------------------
-# Sharded checkpointed campaigns.
+# The coverage campaign.
 # ----------------------------------------------------------------------
 
 def run_parallel_checkpointed_campaign(
@@ -690,19 +688,23 @@ def run_parallel_checkpointed_campaign(
     modules: tuple[str, ...] = ("FWD",),
     *,
     workers: int = 1,
-    max_cycles: int = 4_000_000,
-    audit: bool = False,
+    soc_config=None,
     on_shard=None,
     policy: RetryPolicy | None = None,
     chaos=None,
 ) -> ParallelCampaignResult:
-    """Sharded :func:`~repro.faults.campaign.run_checkpointed_campaign`.
+    """Simulate and grade every scenario, checkpointing each outcome.
 
-    ``builders_provider`` is a zero-argument *picklable* callable (a
-    module-level function or :func:`functools.partial` of one) returning
-    the core-id -> program-builder dict; it is invoked once per shard,
-    inside the worker, so closures never cross the process boundary.
-    Every scenario is its own shard.  Shards are numbered and dispatched
+    ``builders_provider`` is a zero-argument callable returning the
+    core-id -> program-builder dict; it is invoked once per shard,
+    inside the worker.  Over a process pool it must be *picklable* (a
+    module-level function or :func:`functools.partial` of one); in this
+    process any callable will do.  ``models`` maps core id to its
+    :class:`~repro.cpu.core.CoreModel` for grading, ``modules`` names
+    the fault lists to grade (keys of
+    :data:`~repro.faults.campaign.COVERAGE_GRADERS`) and ``soc_config``
+    is the simulated SoC (the default configuration when None).  Every
+    scenario is its own shard.  Shards are numbered and dispatched
     longest first: three-core scenarios (one more core to simulate and
     grade) before two-core ones, then by label.
 
@@ -779,8 +781,7 @@ def run_parallel_checkpointed_campaign(
             "scenario": ordered[index],
             "models": models,
             "modules": tuple(modules),
-            "max_cycles": max_cycles,
-            "audit": audit,
+            "soc_config": soc_config,
         }
 
     def on_complete(index, outcome, seconds):
@@ -822,7 +823,6 @@ def run_parallel_checkpointed_campaign(
         },
         shard_timings=timings,
         num_shards=len(ordered),
-        workers=workers,
         scheduled=scheduled,
         quarantined_shards=quarantined_shards,
         quarantined_labels=quarantined_labels,

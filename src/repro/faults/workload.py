@@ -1,13 +1,12 @@
-"""Standard, picklable campaign workloads for the parallel engine.
+"""Standard, picklable campaign workloads.
 
 A :func:`repro.faults.orchestrator.run_parallel_checkpointed_campaign`
-worker reconstructs its program builders inside the worker process, so
-the *provider* must be picklable — a module-level function or a
-:func:`functools.partial` of one, never a closure.  This module hosts
-the canonical providers used by ``python -m repro faultsim``, the
-parallel-fault-sim benchmark and the differential test suite: the
-paper's three-core SoC (models A, B, C) each running its own
-cache-wrapped forwarding routine.
+pool worker reconstructs its program builders inside the worker
+process, so the *provider* must be picklable — a module-level function
+or a :func:`functools.partial` of one, never a closure.  This module
+hosts the canonical providers used by ``python -m repro faultsim`` and
+the differential test suite: the paper's three-core SoC (models A, B,
+C) each running its own cache-wrapped forwarding routine.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from repro.core import (
     cache_wrapped_builder,
     memory_overhead_bytes,
-    run_campaign,
+    run_scenario,
     signature_stability,
 )
 from repro.core.determinism import Scenario
@@ -32,7 +32,7 @@ def test_run_campaign_returns_one_result_per_scenario():
         Scenario((0, 1), CodePosition.LOW, CodeAlignment.QWORD),
         Scenario((0, 1), CodePosition.HIGH, CodeAlignment.WORD),
     )
-    results = run_campaign(builders, scenarios)
+    results = [run_scenario(builders, s) for s in scenarios]
     assert len(results) == 2
     assert all(set(r.per_core) == {0, 1} for r in results)
     report = signature_stability(results, 0)
@@ -52,8 +52,6 @@ def test_scenario_result_carries_stall_counters():
             CORE_MODEL_A, with_pcs=False, patterns_per_path=1
         ).builder_for(ctx)
     }
-    from repro.core import run_scenario
-
     result = run_scenario(
         builders, Scenario((0,), CodePosition.LOW, CodeAlignment.QWORD)
     )

@@ -1,17 +1,22 @@
-"""Checkpoint/resume of supervised coverage campaigns (durability)."""
+"""Checkpoint/resume of coverage campaigns (durability).
 
+The campaign runs in this process (``workers=1``, no policy), so the
+kill is an exception raised from its ``on_shard`` hook.
+"""
+
+import functools
 import json
 
 import pytest
 
 from repro.core import cache_wrapped_builder
-from repro.core.determinism import Scenario
+from repro.core.determinism import Scenario, run_scenario
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B
 from repro.errors import CheckpointCorruptionWarning, CheckpointError
 from repro.faults import (
     CampaignCheckpoint,
     ScenarioOutcome,
-    run_checkpointed_campaign,
+    run_parallel_checkpointed_campaign,
 )
 from repro.soc import CodeAlignment, CodePosition
 from repro.stl import RoutineContext
@@ -38,15 +43,15 @@ def scenarios():
     )
 
 
-def run_all(path, on_scenario=None):
-    return run_checkpointed_campaign(
-        builders(),
+def run_all(directory, on_shard=None):
+    return run_parallel_checkpointed_campaign(
+        builders,
         scenarios(),
         MODELS,
-        path,
+        directory,
         modules=("FWD",),
-        on_scenario=on_scenario,
-    )
+        on_shard=on_shard,
+    ).outcomes
 
 
 def as_dicts(outcomes):
@@ -59,37 +64,42 @@ def as_dicts(outcomes):
 
 
 def test_killed_campaign_resumes_with_identical_coverage(tmp_path):
-    reference = run_all(tmp_path / "reference.json")
+    reference = run_all(tmp_path / "reference")
     assert len(reference) == 2
     assert all(not o.failed for o in reference.values())
     assert all(o.coverages for o in reference.values())
 
     # Simulated kill: the process dies right after the first scenario is
-    # checkpointed (on_scenario fires post-checkpoint, and a
-    # non-ReproError is deliberately NOT contained by the campaign).
-    path = tmp_path / "campaign.json"
+    # checkpointed (on_shard fires post-checkpoint, and a non-ReproError
+    # is deliberately NOT contained by the campaign).
+    directory = tmp_path / "campaign"
 
-    def die(outcome):
+    def die(index, outcome):
         raise KeyboardInterrupt("killed mid-campaign")
 
     with pytest.raises(KeyboardInterrupt):
-        run_all(path, on_scenario=die)
-    saved = json.loads(path.read_text())
+        run_all(directory, on_shard=die)
+    saved = json.loads((directory / "campaign.json").read_text())
     assert len(saved["scenarios"]) == 1
+    (killed_after,) = (entry["label"] for entry in saved["scenarios"])
 
     # Resume: only the remaining scenario runs...
     resumed_labels = []
-    outcomes = run_all(path, on_scenario=lambda o: resumed_labels.append(o.label))
-    assert resumed_labels == [scenarios()[1].label]
+    outcomes = run_all(
+        directory, on_shard=lambda i, o: resumed_labels.append(o.label)
+    )
+    assert resumed_labels == [
+        s.label for s in scenarios() if s.label != killed_after
+    ]
     # ... and the merged result matches the uninterrupted campaign.
     assert as_dicts(outcomes) == as_dicts(reference)
 
 
 def test_completed_campaign_reruns_as_pure_checkpoint_reads(tmp_path):
-    path = tmp_path / "campaign.json"
-    first = run_all(path)
+    directory = tmp_path / "campaign"
+    first = run_all(directory)
     reran = []
-    second = run_all(path, on_scenario=lambda o: reran.append(o.label))
+    second = run_all(directory, on_shard=lambda i, o: reran.append(o.label))
     assert reran == []  # nothing left to execute
     assert as_dicts(second) == as_dicts(first)
 
@@ -99,19 +109,17 @@ def test_completed_campaign_reruns_as_pure_checkpoint_reads(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_hung_scenario_is_retried_then_recorded_as_error(tmp_path):
+def test_hung_scenario_is_recorded_as_error(tmp_path, monkeypatch):
     """A watchdog trip is the scenario's recorded error outcome, not an
     exception: the scenario runs once and the campaign carries on."""
-    outcomes = run_checkpointed_campaign(
-        builders(),
-        scenarios()[:1],
-        MODELS,
-        tmp_path / "campaign.json",
-        modules=("FWD",),
-        max_cycles=100,  # guaranteed watchdog trip
+    monkeypatch.setattr(
+        "repro.core.determinism.run_scenario",
+        functools.partial(run_scenario, max_cycles=100),  # a sure trip
     )
-    (outcome,) = outcomes.values()
-    assert outcome.failed
+    outcomes = run_all(tmp_path / "campaign")
+    assert len(outcomes) == 2
+    outcome = outcomes[scenarios()[0].label]
+    assert all(o.failed for o in outcomes.values())
     assert "ExecutionLimitExceeded" in outcome.error
     assert outcome.coverages == []
     assert outcome.module_coverages() == []
@@ -119,8 +127,8 @@ def test_hung_scenario_is_retried_then_recorded_as_error(tmp_path):
 
 def test_unknown_module_is_rejected(tmp_path):
     with pytest.raises(ValueError):
-        run_checkpointed_campaign(
-            builders(), scenarios(), MODELS, tmp_path / "c.json", modules=("NOPE",)
+        run_parallel_checkpointed_campaign(
+            builders, scenarios(), MODELS, tmp_path / "c", modules=("NOPE",)
         )
 
 
@@ -162,6 +170,16 @@ def test_checkpoint_save_is_atomic(tmp_path):
     path = tmp_path / "c.json"
     checkpoint = CampaignCheckpoint(path, ("FWD",))
     checkpoint.record(ScenarioOutcome(label="s1"))
-    assert not path.with_suffix(".json.tmp").exists()
+    # No staging file survives the commit, whatever its pid suffix.
+    assert not list(tmp_path.glob("*.tmp*"))
     reloaded = CampaignCheckpoint(path, ("FWD",))
     assert reloaded.done("s1") and not reloaded.done("s2")
+
+
+def test_outcome_ignores_the_retired_audit_key():
+    """Checkpoints written while outcomes carried an ``audit`` field
+    still load; the key is dropped."""
+    entry = {**ScenarioOutcome(label="s1").to_dict(), "audit": None}
+    outcome = ScenarioOutcome.from_dict(entry)
+    assert outcome.label == "s1"
+    assert "audit" not in outcome.to_dict()

@@ -7,7 +7,7 @@ contract against the interpreted reference path for the three fault
 models (uncollapsed stuck-at, weighted PPSFP, transition-delay), on
 both real module netlists and seeded random ones, with and without
 fault dropping (also carried across disjoint fault subsets), and end
-to end through a checkpointed campaign graded by each engine in turn.
+to end through the campaign graded by each engine in turn.
 """
 
 import functools
@@ -25,7 +25,7 @@ from repro.faults import (
     compiled_for,
     fault_simulate,
     get_modules,
-    run_checkpointed_campaign,
+    run_parallel_checkpointed_campaign,
 )
 from repro.faults.gates import UNARY, GateKind
 from repro.faults.netlist import Netlist
@@ -289,13 +289,13 @@ def test_campaign_engines_agree(tmp_path, monkeypatch):
     seam (the module globals its graders call): the outcome dicts,
     signatures included, must be equal."""
     modules = ("FWD", "FWD-TDF")
-    compiled = run_checkpointed_campaign(
-        small_provider()(),
+    compiled = run_parallel_checkpointed_campaign(
+        small_provider(),
         SCENARIOS,
         DEFAULT_CAMPAIGN_MODELS,
-        tmp_path / "compiled.json",
+        tmp_path / "compiled",
         modules=modules,
-    )
+    ).outcomes
     monkeypatch.setattr(
         campaign,
         "fault_simulate",
@@ -306,13 +306,13 @@ def test_campaign_engines_agree(tmp_path, monkeypatch):
         "transition_fault_simulate",
         functools.partial(transition_fault_simulate, engine="interpreted"),
     )
-    interpreted = run_checkpointed_campaign(
-        small_provider()(),
+    interpreted = run_parallel_checkpointed_campaign(
+        small_provider(),
         SCENARIOS,
         DEFAULT_CAMPAIGN_MODELS,
-        tmp_path / "interpreted.json",
+        tmp_path / "interpreted",
         modules=modules,
-    )
+    ).outcomes
     assert outcome_dicts(interpreted) == outcome_dicts(compiled)
     for outcome in compiled.values():
         assert outcome.signatures  # actually recorded, not vacuous

@@ -1,6 +1,6 @@
 """Property tests of the campaign's shard dispatch and outcome order.
 
-A sharded campaign is only equivalent to the serial one if every
+A campaign's result is independent of its worker count only if every
 scenario is dispatched exactly once and its outcome comes back once, in
 the caller's scenario order.  Shards run three-core scenarios before
 two-core ones (they cost more), then by label, whatever order the
@@ -15,8 +15,9 @@ import tempfile
 
 import pytest
 
-from repro.core.determinism import default_scenarios
+from repro.core.determinism import Scenario, default_scenarios
 from repro.faults import ScenarioOutcome, run_parallel_checkpointed_campaign
+from repro.soc import CodeAlignment, CodePosition
 
 try:
     from hypothesis import given, settings
@@ -76,6 +77,24 @@ def test_scenario_plan_partitions_the_matrix(seed):
     assert all(label.startswith("cores012_") for label in order[:three_core])
     # The caller's order does not reach the dispatch order.
     assert dispatch(default_scenarios())[0] == order
+
+
+@pytest.mark.parametrize("reverse", (False, True))
+def test_longest_first_is_not_label_order(reverse):
+    """On the default matrix label order happens to be longest-first
+    ("cores012_" sorts before "cores01_"); here it is not: label order
+    would run the one-core scenario before the two-core one."""
+    scenarios = [
+        Scenario(cores, CodePosition.LOW, CodeAlignment.QWORD)
+        for cores in ((0,), (1, 2), (0, 1, 2))
+    ]
+    if reverse:
+        scenarios.reverse()
+    labels = sorted(scenario.label for scenario in scenarios)
+    assert labels == ["cores012_low_qword", "cores0_low_qword", "cores12_low_qword"]
+    order, result = dispatch(scenarios)
+    check_dispatch(scenarios, order, result)
+    assert order == ["cores012_low_qword", "cores12_low_qword", "cores0_low_qword"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,11 +1,12 @@
-"""Differential serial-vs-sharded equivalence of the coverage campaign.
+"""Differential equivalence of the campaign against a plain grading loop.
 
-The sharded campaign's contract is that neither the worker count nor
-the caller's scenario order changes a single reported number.  These
-tests pin that contract against the serial checkpointed campaign —
-coverage dicts, scenario order and the per-core signatures each
-scenario records — in process and over real process pools, for one and
-several fault lists.
+The campaign's contract is that neither the worker count nor the
+caller's scenario order changes a single reported number.  These tests
+pin that contract against a test-local reference — a loop of
+:func:`grade_scenario` in this process, with no dispatcher and no
+checkpoint — comparing coverage dicts, scenario order and the per-core
+signatures each scenario records, in process and over real process
+pools, for one and several fault lists.
 """
 
 import random
@@ -13,10 +14,7 @@ import random
 import pytest
 
 from repro.core.determinism import Scenario
-from repro.faults import (
-    run_checkpointed_campaign,
-    run_parallel_checkpointed_campaign,
-)
+from repro.faults import grade_scenario, run_parallel_checkpointed_campaign
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
 
@@ -36,16 +34,18 @@ def outcome_dicts(outcomes):
     return {label: outcome.to_dict() for label, outcome in outcomes.items()}
 
 
+def reference(scenarios, modules):
+    """Every scenario graded in this process, in the given order."""
+    builders = small_provider()()
+    return {
+        s.label: grade_scenario(builders, s, DEFAULT_CAMPAIGN_MODELS, modules)
+        for s in scenarios
+    }
+
+
 @pytest.fixture(scope="module")
-def serial_campaign(tmp_path_factory):
-    path = tmp_path_factory.mktemp("serial") / "campaign.json"
-    return run_checkpointed_campaign(
-        small_provider()(),
-        SCENARIOS,
-        DEFAULT_CAMPAIGN_MODELS,
-        path,
-        modules=("FWD",),
-    )
+def serial_campaign():
+    return reference(SCENARIOS, ("FWD",))
 
 
 @pytest.mark.parametrize("workers,shuffle_seed", [(1, None), (2, 3), (2, 7)])
@@ -90,13 +90,7 @@ def test_campaign_preserves_scenario_order(serial_campaign, tmp_path):
 def test_campaign_multi_module_equivalence(tmp_path):
     """Grading several fault lists at once stays equivalent too."""
     modules = ("FWD", "ICU")
-    serial = run_checkpointed_campaign(
-        small_provider()(),
-        SCENARIOS[:2],
-        DEFAULT_CAMPAIGN_MODELS,
-        tmp_path / "serial.json",
-        modules=modules,
-    )
+    serial = reference(SCENARIOS[:2], modules)
     parallel = run_parallel_checkpointed_campaign(
         small_provider(),
         SCENARIOS[:2],

@@ -17,7 +17,6 @@ from repro.core.cache_wrapper import (
 from repro.core.determinism import Scenario, run_scenario
 from repro.core.golden import finalise_with_expected
 from repro.cpu.core import CORE_MODEL_A
-from repro.faults.campaign import ScenarioOutcome
 from repro.mem.bus import BusStats
 from repro.mem.cache import CacheStats
 from repro.soc.loader import CodeAlignment, CodePosition
@@ -400,7 +399,7 @@ def test_unwrapped_ablation_fails_audit_with_actionable_events():
 
 
 # ---------------------------------------------------------------------------
-# Audit propagation into campaign records.
+# Audit verdict on scenario results.
 # ---------------------------------------------------------------------------
 
 
@@ -415,16 +414,3 @@ def test_run_scenario_attaches_audit_verdict():
     assert result.audit["windows_opened"] == {"0": 1}
     # Default mode stays audit-free (and telemetry-free).
     assert run_scenario(builders, scenario).audit is None
-
-
-def test_scenario_outcome_roundtrips_audit():
-    outcome = ScenarioOutcome(
-        label="cores0_low_qword",
-        audit={"passed": True, "violation_count": 0},
-    )
-    restored = ScenarioOutcome.from_dict(json.loads(json.dumps(outcome.to_dict())))
-    assert restored.audit == outcome.audit
-    # Pre-audit checkpoints load with audit=None.
-    legacy = dict(outcome.to_dict())
-    del legacy["audit"]
-    assert ScenarioOutcome.from_dict(legacy).audit is None
