@@ -205,8 +205,8 @@ def _run_faultsim(argv: list[str]) -> int:
         type=float,
         default=None,
         help=(
-            "supervised-orchestrator shard deadline in seconds of running "
-            "time; a shard past it is killed and re-dispatched "
+            "supervised-orchestrator shard deadline in seconds from "
+            "dispatch; a shard past it is killed and re-dispatched "
             "(implies the orchestrator; default retry budget applies "
             "unless --max-retries is given)"
         ),
@@ -321,7 +321,7 @@ def _run_faultsim(argv: list[str]) -> int:
             format_table(
                 ("shard", "scenario", "seconds"),
                 [
-                    (str(t.index), t.label, f"{t.seconds:.2f}")
+                    (str(t.shard), t.label, f"{t.seconds:.2f}")
                     for t in result.shard_timings
                 ],
                 title="Executed shards (resume skips completed ones)",
@@ -329,7 +329,7 @@ def _run_faultsim(argv: list[str]) -> int:
         )
     if failed:
         print(f"\nfailed scenarios: {', '.join(failed)}")
-    if report is not None:
+    if supervised:
         retried = report.retried_shards
         print(
             f"\norchestrator: {len(report.attempts)} shard attempt(s), "
@@ -361,11 +361,11 @@ def _run_faultsim(argv: list[str]) -> int:
             "failed": failed,
             "coverage_ranges": summary,
             "shards": [
-                {"index": t.index, "label": t.label, "seconds": t.seconds}
+                {"index": t.shard, "label": t.label, "seconds": t.seconds}
                 for t in result.shard_timings
             ],
         }
-        if report is not None:
+        if supervised:
             payload["orchestration"] = report.to_dict()
             payload["quarantined_shards"] = quarantined_shards
             payload["quarantined_scenarios"] = quarantined_labels

@@ -27,7 +27,6 @@ from repro.faults.orchestrator import (
     ParallelCampaignResult,
     RetryPolicy,
     ShardAttempt,
-    ShardTiming,
     resolve_workers,
     run_parallel_checkpointed_campaign,
 )
@@ -47,15 +46,11 @@ from repro.faults.transition import (
 )
 from repro.faults.gates import GateKind, eval_gate
 from repro.faults.generators import (
-    MODULE_KINDS,
     CoreModules,
-    compiled_netlist_for,
-    fault_list_for,
     generate_forwarding_port,
     generate_hdcu_port,
     generate_icu,
     get_modules,
-    netlist_for,
 )
 from repro.faults.netlist import Gate, Netlist
 from repro.faults.observability import (
@@ -96,7 +91,6 @@ __all__ = [
     "ParallelCampaignResult",
     "RetryPolicy",
     "ShardAttempt",
-    "ShardTiming",
     "resolve_workers",
     "run_parallel_checkpointed_campaign",
     "AlwaysGlitch",
@@ -115,15 +109,11 @@ __all__ = [
     "icu_coverage",
     "GateKind",
     "eval_gate",
-    "MODULE_KINDS",
     "CoreModules",
-    "compiled_netlist_for",
-    "fault_list_for",
     "generate_forwarding_port",
     "generate_hdcu_port",
     "generate_icu",
     "get_modules",
-    "netlist_for",
     "Gate",
     "Netlist",
     "forwarding_pattern_sets",

@@ -227,12 +227,19 @@ def content_digest(data: dict) -> str:
 def quarantine_corrupt_file(path: Path, reason: str) -> Path:
     """Move a corrupt file to a ``.corrupt`` sidecar and warn.
 
-    The bytes are preserved for post-mortem (never silently deleted),
-    the original path is freed so the campaign can start fresh, and
-    the warning makes the silent-restart failure mode impossible: a
-    resume that lost state always says why.  Returns the sidecar path.
+    The bytes are preserved for post-mortem (never silently deleted):
+    the sidecar is the first free name of ``.corrupt``, ``.corrupt.1``,
+    ``.corrupt.2``…, so a later corruption never overwrites an earlier
+    one's evidence.  The original path is freed so the campaign can
+    start fresh, and the warning makes the silent-restart failure mode
+    impossible: a resume that lost state always says why.  Returns the
+    sidecar path.
     """
     sidecar = path.with_name(path.name + CORRUPT_SUFFIX)
+    copies = 0
+    while sidecar.exists():
+        copies += 1
+        sidecar = path.with_name(f"{path.name}{CORRUPT_SUFFIX}.{copies}")
     os.replace(path, sidecar)
     warnings.warn(
         f"{path} failed its integrity check ({reason}); moved to "

@@ -87,10 +87,6 @@ class ShardChaos:
                 f"chaos failures must be >= 0 or None, got {self.failures}"
             )
 
-    @property
-    def poison(self) -> bool:
-        return self.failures is None
-
     def fires_on(self, attempt: int) -> bool:
         """Deterministic fail/pass decision for one attempt (1-based)."""
         return self.failures is None or attempt <= self.failures

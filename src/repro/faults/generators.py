@@ -290,66 +290,6 @@ class CoreModules:
         return sum(w for _, w in self.icu_faults)
 
 
-#: Descriptor kinds accepted by :func:`netlist_for` / :func:`fault_list_for`.
-MODULE_KINDS = ("fwd", "hdcu", "icu")
-
-
-def netlist_for(
-    model: CoreModel, kind: str, port: tuple[int, int] | None = None
-) -> Netlist:
-    """Resolve a (model, kind, port) descriptor to its netlist.
-
-    The descriptor form is what crosses process boundaries in the
-    parallel engine: each worker rebuilds (and process-locally caches)
-    the netlists from the model seed, so shard tasks ship a few ints
-    instead of a pickled gate network.
-    """
-    modules = get_modules(model)
-    if kind == "fwd":
-        return modules.forwarding[_require_port(kind, port)]
-    if kind == "hdcu":
-        return modules.hdcu[_require_port(kind, port)]
-    if kind == "icu":
-        return modules.icu
-    raise ValueError(f"unknown module kind {kind!r} (want one of {MODULE_KINDS})")
-
-
-def compiled_netlist_for(
-    model: CoreModel, kind: str, port: tuple[int, int] | None = None
-):
-    """The compiled artifact of one descriptor's netlist.
-
-    Compiled artifacts are cached on the netlist instances held by the
-    process-wide module cache below, so each worker process lowers each
-    module exactly once however many shards or scenarios it grades —
-    the shard tasks keep shipping descriptors (a few ints), never gate
-    arrays.
-    """
-    from repro.faults.compiled import compiled_for
-
-    return compiled_for(netlist_for(model, kind, port))
-
-
-def fault_list_for(
-    model: CoreModel, kind: str, port: tuple[int, int] | None = None
-) -> list[tuple[StuckAtFault, int]]:
-    """The weighted collapsed stuck-at fault list of one descriptor."""
-    modules = get_modules(model)
-    if kind == "fwd":
-        return modules.forwarding_faults[_require_port(kind, port)]
-    if kind == "hdcu":
-        return modules.hdcu_faults[_require_port(kind, port)]
-    if kind == "icu":
-        return modules.icu_faults
-    raise ValueError(f"unknown module kind {kind!r} (want one of {MODULE_KINDS})")
-
-
-def _require_port(kind: str, port: tuple[int, int] | None) -> tuple[int, int]:
-    if port is None:
-        raise ValueError(f"module kind {kind!r} needs a (slot, operand) port")
-    return port
-
-
 _MODULE_CACHE: dict[str, CoreModules] = {}
 
 

@@ -6,21 +6,26 @@ hands the shards to one loop, :func:`_supervise`.  A shard grades its
 scenario against the full fault lists with
 :func:`~repro.faults.campaign.grade_scenario` and does no I/O: the
 calling process records every outcome in the campaign's one checkpoint
-file.  The loop's dispatch rule:
+file.  The loop's dispatch rules:
 
 * shards run **in the calling process** if and only if ``workers == 1``
   and there is no :class:`RetryPolicy`; otherwise they run through a
   process pool (a single-worker pool at ``workers=1`` with a policy, so
   a crashing or hung shard is recoverable rather than fatal);
+* **one in-flight rule**: never more shards in flight than the
+  capacity — the pool size, or 1 while any unfinished shard is a
+  suspect, and then only suspects are dispatched.  No shard waits in
+  the executor's queue, so a shard's deadline counts from its dispatch;
+* the loop sleeps until the next event — a completion, the earliest
+  in-flight deadline or the earliest backoff expiry — never on a poll;
 * the policy decides what a shard failure does.  Without one, the first
   shard exception propagates unchanged once the pool is torn down.
   With one, the run is supervised:
 
   - **Bounded, deterministic retry.**  A failed shard is re-dispatched
     up to ``max_retries`` times behind an exponential-backoff delay
-    whose jitter is *seeded* (blake2b of ``(seed, shard, failure)``) —
-    the schedule is a pure function, and backoff affects only
-    wall-clock, never results.
+    (:func:`backoff_delay`) whose jitter is blake2b of ``(shard,
+    failure)`` — backoff affects only wall-clock, never results.
   - **Pool-death recovery with attribution.**  A
     :class:`~concurrent.futures.process.BrokenProcessPool` condemns
     every in-flight future, so the guilty shard is unknowable.  The
@@ -28,26 +33,27 @@ file.  The loop's dispatch rule:
     at a time): an innocent shard completes uncharged; a shard that
     breaks the pool again while alone is the culprit and its retry
     budget is charged.
-  - **Straggler re-dispatch.**  With a ``shard_timeout``, a shard
-    running past its deadline is declared hung: the pool is torn down
-    (a running future cannot be cancelled), the straggler is charged
-    one failure, and every other in-flight shard is re-dispatched
-    uncharged.  A shard is one scenario, so the re-run is cheap;
-    determinism makes it invisible.
-  - **Graceful degradation.**  More than ``max_pool_rebuilds`` rebuilds
-    means the host cannot sustain a pool at all — the remaining shards
-    run in-process, on the same path an unsupervised ``workers=1`` run
-    takes (chaos-style process failures downgrade to exceptions there).
+  - **Straggler re-dispatch.**  With a ``shard_timeout``, a shard still
+    in flight that long after its dispatch is declared hung: the pool
+    is torn down (a running future cannot be cancelled), the straggler
+    is charged one failure, and every other in-flight shard is
+    re-dispatched uncharged.  A shard is one scenario, so the re-run is
+    cheap; determinism makes it invisible.
+  - **Graceful degradation.**  More than :data:`MAX_POOL_REBUILDS`
+    rebuilds means the host cannot sustain a pool at all — the
+    remaining shards run in-process, on the same path an unsupervised
+    ``workers=1`` run takes (chaos-style process failures downgrade to
+    exceptions there).
   - **Quarantine, not abort.**  A shard that exhausts its budget is
     quarantined; the run completes with the loss *enumerated* — coverage
     becomes an explicit lower bound — or raises
     :class:`~repro.errors.OrchestrationError` when the caller did not
     opt into partial completion.
 
-Every supervised decision is recorded once, in the structured
-:class:`OrchestrationReport` that lands next to the campaign's
-checkpoint; it and the :class:`ParallelCampaignResult` are the run's
-only record.
+Every dispatch of every shard, supervised or not, is logged once as a
+:class:`ShardAttempt` in the run's :class:`OrchestrationReport`; the
+``"ok"`` attempts are the campaign's shard timings.  A supervised run
+writes the report next to the campaign's checkpoint.
 
 The headline invariant, enforced by the chaos suite
 (``tests/test_orchestrator_chaos.py`` with :mod:`repro.faults.chaos`):
@@ -63,7 +69,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 
@@ -77,12 +83,13 @@ from repro.faults.campaign import (
 
 __all__ = [
     "CHECKPOINT_NAME",
+    "MAX_POOL_REBUILDS",
     "ORCHESTRATION_REPORT_NAME",
     "OrchestrationReport",
     "ParallelCampaignResult",
     "RetryPolicy",
     "ShardAttempt",
-    "ShardTiming",
+    "backoff_delay",
     "resolve_workers",
     "run_parallel_checkpointed_campaign",
 ]
@@ -92,6 +99,16 @@ CHECKPOINT_NAME = "campaign.json"
 
 #: Report filename, written next to the campaign's checkpoint.
 ORCHESTRATION_REPORT_NAME = "orchestration_report.json"
+
+#: Backoff shape: failure *k* waits ``BACKOFF_BASE * BACKOFF_FACTOR**(k-1)``
+#: seconds times ``1 + jitter``, capped at ``BACKOFF_MAX``.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 30.0
+
+#: Pool rebuilds a supervised run survives; one more degrades it to
+#: in-process serial execution.
+MAX_POOL_REBUILDS = 3
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -118,33 +135,37 @@ def resolve_workers(requested: int | None) -> int:
 # Policy: how hard to try, and for exactly how long.
 # ----------------------------------------------------------------------
 
+def backoff_delay(shard_index: int, failure: int) -> float:
+    """Deterministic delay before re-running a shard after failure ``failure``.
+
+    ``jitter`` in [0, 1) is blake2b of ``(shard, failure)``: fully
+    deterministic, de-synchronised across shards, and free of wall-clock
+    randomness in anything a result depends on.
+    """
+    if failure < 1:
+        return 0.0
+    digest = blake2b(
+        f"{shard_index}:{failure}".encode("utf-8"), digest_size=8
+    ).digest()
+    jitter = int.from_bytes(digest, "big") / 2**64
+    raw = BACKOFF_BASE * BACKOFF_FACTOR ** (failure - 1)
+    return min(raw * (1.0 + jitter), BACKOFF_MAX)
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/deadline budget of one supervised run.
+    """Retry/deadline budget of one supervised run.
 
     ``max_retries`` is per shard: a shard may run ``max_retries + 1``
-    times before quarantine.  The backoff before failure *k*'s re-run is
-    ``min(base * factor**(k-1) * (1 + jitter), backoff_max)`` with
-    ``jitter`` in [0, 1) derived from blake2b of ``(seed, shard, k)`` —
-    fully deterministic, de-synchronised across shards, and free of
-    wall-clock randomness in anything a result depends on.
-
-    ``shard_timeout`` (seconds of *running* time, None = no deadline)
-    arms straggler detection; ``max_pool_rebuilds`` bounds pool
-    resurrection before degrading to in-process serial execution;
-    ``allow_partial`` turns quarantine from an
+    times before quarantine, each re-run behind :func:`backoff_delay`.
+    ``shard_timeout`` (seconds from dispatch, None = no deadline) arms
+    straggler detection; ``allow_partial`` turns quarantine from an
     :class:`~repro.errors.OrchestrationError` into a
     :class:`ParallelCampaignResult` with an explicit quarantine roster.
     """
 
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    seed: int = 0
     shard_timeout: float | None = None
-    poll_interval: float = 0.05
-    max_pool_rebuilds: int = 3
     allow_partial: bool = False
 
     def __post_init__(self):
@@ -157,47 +178,21 @@ class RetryPolicy:
                 f"shard_timeout must be positive, got {self.shard_timeout}"
             )
 
-    def backoff_delay(self, shard_index: int, failure: int) -> float:
-        """Deterministic delay before re-running after failure ``failure``."""
-        if failure < 1 or self.backoff_base <= 0.0:
-            return 0.0
-        digest = blake2b(
-            f"{self.seed}:{shard_index}:{failure}".encode("utf-8"),
-            digest_size=8,
-        ).digest()
-        jitter = int.from_bytes(digest, "big") / 2**64
-        raw = self.backoff_base * self.backoff_factor ** (failure - 1)
-        return min(raw * (1.0 + jitter), self.backoff_max)
-
-    def backoff_schedule(self, shard_index: int) -> list[float]:
-        """The full per-shard delay schedule (one entry per retry)."""
-        return [
-            self.backoff_delay(shard_index, failure)
-            for failure in range(1, self.max_retries + 1)
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "max_retries": self.max_retries,
-            "backoff_base": self.backoff_base,
-            "backoff_factor": self.backoff_factor,
-            "backoff_max": self.backoff_max,
-            "seed": self.seed,
-            "shard_timeout": self.shard_timeout,
-            "max_pool_rebuilds": self.max_pool_rebuilds,
-            "allow_partial": self.allow_partial,
-        }
-
 
 # ----------------------------------------------------------------------
-# Reporting: every decision the orchestrator made, machine-readable.
+# Reporting: every dispatch the loop made, machine-readable.
 # ----------------------------------------------------------------------
 
 @dataclass
 class ShardAttempt:
-    """One dispatch of one shard and how it ended."""
+    """One dispatch of one shard, how it ended and how long it took.
+
+    ``seconds`` runs from dispatch until this process saw the result, so
+    the ``"ok"`` attempts are the campaign's per-shard wall-clock.
+    """
 
     shard: int
+    label: str
     attempt: int
     #: "ok" | "error" | "pool-broken" | "timeout"
     status: str
@@ -207,29 +202,14 @@ class ShardAttempt:
     backoff: float = 0.0
     in_process: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "attempt": self.attempt,
-            "status": self.status,
-            "error": self.error,
-            "seconds": self.seconds,
-            "backoff": self.backoff,
-            "in_process": self.in_process,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardAttempt":
-        return cls(**data)
-
 
 @dataclass
 class OrchestrationReport:
-    """Structured record of a supervised run's control decisions.
+    """Structured record of a run's dispatches and control decisions.
 
-    Saved as JSON next to the campaign checkpoint.  ``stable_dict``
-    strips the wall-clock fields so chaos tests can assert that the
-    *decision sequence* (attempts, statuses, backoff schedule,
+    A supervised run saves it as JSON next to the campaign checkpoint.
+    ``stable_dict`` strips the wall-clock fields so chaos tests can
+    assert that the *decision sequence* (attempts, statuses, backoffs,
     quarantine roster) is deterministic even though timings are not.
     """
 
@@ -238,27 +218,30 @@ class OrchestrationReport:
     attempts: list[ShardAttempt] = field(default_factory=list)
     quarantined: list[int] = field(default_factory=list)
     pool_rebuilds: int = 0
-    stragglers: int = 0
-    degraded_serial: bool = False
     policy: dict = field(default_factory=dict)
-    #: shard index -> the deterministic backoff schedule it drew from.
-    backoff: dict[int, list[float]] = field(default_factory=dict)
 
     @property
     def retried_shards(self) -> list[int]:
         return sorted({a.shard for a in self.attempts if a.status != "ok"})
 
+    @property
+    def stragglers(self) -> int:
+        return sum(a.status == "timeout" for a in self.attempts)
+
+    @property
+    def degraded_serial(self) -> bool:
+        return self.pool_rebuilds > MAX_POOL_REBUILDS
+
     def to_dict(self) -> dict:
         return {
             "num_shards": self.num_shards,
             "workers": self.workers,
-            "attempts": [a.to_dict() for a in self.attempts],
+            "attempts": [asdict(a) for a in self.attempts],
             "quarantined": list(self.quarantined),
             "pool_rebuilds": self.pool_rebuilds,
             "stragglers": self.stragglers,
             "degraded_serial": self.degraded_serial,
             "policy": dict(self.policy),
-            "backoff": {str(k): v for k, v in sorted(self.backoff.items())},
         }
 
     def stable_dict(self) -> dict:
@@ -282,26 +265,14 @@ class OrchestrationReport:
         return cls(
             num_shards=data["num_shards"],
             workers=data["workers"],
-            attempts=[ShardAttempt.from_dict(a) for a in data["attempts"]],
+            attempts=[ShardAttempt(**a) for a in data["attempts"]],
             quarantined=list(data["quarantined"]),
             pool_rebuilds=data["pool_rebuilds"],
-            stragglers=data["stragglers"],
-            degraded_serial=data["degraded_serial"],
             policy=dict(data["policy"]),
-            backoff={int(k): list(v) for k, v in data.get("backoff", {}).items()},
         )
 
     def save(self, path: str | Path) -> None:
         write_json_atomic(Path(path), self.to_dict())
-
-
-@dataclass(frozen=True)
-class ShardTiming:
-    """Wall-clock of one completed shard and the scenario it graded."""
-
-    index: int
-    label: str
-    seconds: float
 
 
 @dataclass
@@ -314,47 +285,56 @@ class ParallelCampaignResult:
     under ``allow_partial`` can have any), so coverage computed from
     this result is an explicit *lower bound* over an explicit
     denominator — never a silently shrunken campaign.  ``report`` is
-    the supervised run's :class:`OrchestrationReport` (None without a
-    policy).
+    the run's :class:`OrchestrationReport`, its one record of every
+    dispatch.
     """
 
     outcomes: dict[str, ScenarioOutcome]
-    shard_timings: list[ShardTiming] = field(default_factory=list)
-    num_shards: int = 1
+    report: OrchestrationReport
     #: Shard indices actually executed this run (resume skips the rest).
     scheduled: tuple[int, ...] = ()
-    quarantined_shards: tuple[int, ...] = ()
     quarantined_labels: tuple[str, ...] = ()
-    report: OrchestrationReport | None = None
+
+    @property
+    def num_shards(self) -> int:
+        return self.report.num_shards
+
+    @property
+    def quarantined_shards(self) -> tuple[int, ...]:
+        return tuple(self.report.quarantined)
+
+    @property
+    def shard_timings(self) -> list[ShardAttempt]:
+        """The ``"ok"`` attempts of this run, in dispatch (shard) order."""
+        ok = [a for a in self.report.attempts if a.status == "ok"]
+        return sorted(ok, key=lambda a: a.shard)
 
     @property
     def complete(self) -> bool:
-        return not self.quarantined_shards
+        return not self.report.quarantined
 
 
 # ----------------------------------------------------------------------
 # The shard body: what one dispatched shard runs, in a worker or inline.
 # ----------------------------------------------------------------------
 
-def _campaign_shard_worker(spec: dict):
-    """Grade one shard's scenario: ``(outcome, seconds)``.
+def _campaign_shard_worker(spec: dict) -> ScenarioOutcome:
+    """Grade one shard's scenario.
 
     Rebuilds the program builders from the provider, then grades the
     scenario.  It writes nothing: the dispatching process records the
     outcome.
     """
-    start = time.perf_counter()
     chaos = spec["chaos"]
     if chaos is not None:
         chaos.fire(spec["index"], spec["attempt"], in_process=spec["in_process"])
-    outcome = grade_scenario(
+    return grade_scenario(
         spec["provider"](),
         spec["scenario"],
         spec["models"],
         spec["modules"],
         soc_config=spec["soc_config"],
     )
-    return outcome, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +350,14 @@ def _pool_context():
 
 
 class _ShardState:
-    __slots__ = ("index", "failures", "done", "quarantined", "ready_at", "suspect")
+    __slots__ = (
+        "index", "label", "failures", "done", "quarantined", "ready_at",
+        "suspect",
+    )
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, label: str):
         self.index = index
+        self.label = label
         self.failures = 0
         self.done = False
         self.quarantined = False
@@ -384,51 +368,44 @@ class _ShardState:
 
 
 def _supervise(
-    indices,
+    labels: dict[int, str],
     spec_for,
     workers: int,
     policy: RetryPolicy | None,
     report: OrchestrationReport,
     on_complete,
 ) -> None:
-    """Run every shard in ``indices`` to done (or quarantined).
+    """Run every shard in ``labels`` (index -> label) to done or quarantine.
 
     ``spec_for(index, attempt, in_process)`` is the picklable work order
     of one shard attempt; this loop runs it through the pool, or in this
     process — the whole run when ``workers == 1`` and ``policy`` is
-    None, and the supervised run's degraded endgame.
-    ``on_complete(index, outcome, seconds)`` receives each shard's
-    result exactly once.  Without a policy the first shard exception
-    propagates unchanged (after the pool is torn down).  The caller
-    returns outcomes in its own scenario order, so completion order —
-    the one thing chaos *does* perturb — never reaches a result.
+    None, and the supervised run's degraded endgame.  Every attempt is
+    logged in ``report``; ``on_complete(index, outcome)`` receives each
+    shard's outcome exactly once.  Without a policy the first shard
+    exception propagates unchanged (after the pool is torn down).  The
+    caller returns outcomes in its own scenario order, so completion
+    order — the one thing chaos *does* perturb — never reaches a result.
     """
-    states = {index: _ShardState(index) for index in indices}
+    states = [_ShardState(index, labels[index]) for index in sorted(labels)]
     if not states:
         return
+    capacity = min(workers, len(states))
     pool: ProcessPoolExecutor | None = None
-    #: Future -> (state, attempt, submitted_at, isolated)
+    #: Future -> (state, attempt, monotonic() at dispatch)
     in_flight: dict = {}
-    #: Future -> monotonic() when first observed running (deadline base).
-    running_since: dict = {}
     #: Shards run in this process: the unsupervised workers=1 path from
     #: the start, or a supervised run degraded after too many rebuilds.
     serial = policy is None and workers == 1
     timeout = policy.shard_timeout if policy is not None else None
 
-    def incomplete():
-        return [
-            s for s in states.values() if not s.done and not s.quarantined
-        ]
-
     def flying():
-        return [state for state, _, _, _ in in_flight.values()]
+        return [state for state, _, _ in in_flight.values()]
 
     def new_pool():
         nonlocal pool
         pool = ProcessPoolExecutor(
-            max_workers=min(workers, max(1, len(states))),
-            mp_context=_pool_context(),
+            max_workers=capacity, mp_context=_pool_context()
         )
 
     def kill_pool():
@@ -460,22 +437,18 @@ def _supervise(
         for state in suspects:
             state.suspect = True
         in_flight.clear()
-        running_since.clear()
         kill_pool()
         report.pool_rebuilds += 1
-        if report.pool_rebuilds > policy.max_pool_rebuilds:
+        if report.degraded_serial:
             serial = True
-            report.degraded_serial = True
         else:
             new_pool()
 
-    def nap(wake, now):
-        time.sleep(min(max(0.0, wake - now), max(policy.poll_interval, 0.01)))
-
-    def record_success(state, attempt, seconds, result, in_process=False):
+    def record_success(state, attempt, seconds, outcome, in_process=False):
         report.attempts.append(
             ShardAttempt(
                 shard=state.index,
+                label=state.label,
                 attempt=attempt,
                 status="ok",
                 seconds=seconds,
@@ -484,15 +457,13 @@ def _supervise(
         )
         state.done = True
         state.suspect = False
-        on_complete(state.index, *result)
+        on_complete(state.index, outcome)
 
     def record_failure(state, status, error, seconds, in_process=False):
         state.failures += 1
-        report.backoff.setdefault(
-            state.index, policy.backoff_schedule(state.index)
-        )
         attempt = ShardAttempt(
             shard=state.index,
+            label=state.label,
             attempt=state.failures,
             status=status,
             error=error,
@@ -504,10 +475,10 @@ def _supervise(
             state.quarantined = True
             report.quarantined.append(state.index)
             return
-        attempt.backoff = policy.backoff_delay(state.index, state.failures)
+        attempt.backoff = backoff_delay(state.index, state.failures)
         state.ready_at = time.monotonic() + attempt.backoff
 
-    def try_submit(state, isolated: bool) -> bool:
+    def try_submit(state) -> bool:
         attempt = state.failures + 1
         try:
             future = pool.submit(
@@ -520,7 +491,7 @@ def _supervise(
             # guilty party is someone already in flight, not this shard.
             restart_pool(flying() + [state])
             return False
-        in_flight[future] = (state, attempt, time.monotonic(), isolated)
+        in_flight[future] = (state, attempt, time.monotonic())
         return True
 
     def run_serial():
@@ -528,7 +499,7 @@ def _supervise(
         # blocking call cannot be preempted from within); a supervised
         # run keeps its retry/backoff/quarantine semantics and chaos
         # downgrades process misbehaviour to raised exceptions.
-        for state in sorted(incomplete(), key=lambda s: s.index):
+        for state in states:
             while not state.done and not state.quarantined:
                 delay = state.ready_at - time.monotonic()
                 if delay > 0:
@@ -536,7 +507,7 @@ def _supervise(
                 attempt = state.failures + 1
                 start = time.perf_counter()
                 try:
-                    result = _campaign_shard_worker(
+                    outcome = _campaign_shard_worker(
                         spec_for(state.index, attempt, True)
                     )
                 except Exception as exc:
@@ -551,7 +522,7 @@ def _supervise(
                     )
                 else:
                     record_success(
-                        state, attempt, time.perf_counter() - start, result,
+                        state, attempt, time.perf_counter() - start, outcome,
                         in_process=True,
                     )
 
@@ -559,62 +530,47 @@ def _supervise(
         new_pool()
     try:
         while True:
-            remaining = incomplete()
+            remaining = [s for s in states if not s.done and not s.quarantined]
             if not remaining:
                 break
             if serial:
                 run_serial()
                 break
+            # The in-flight rule: while any shard is a suspect, only
+            # suspects run, one at a time, so the next pool break is
+            # attributable; otherwise fill the pool, never its queue.
             now = time.monotonic()
-            busy = {state.index for state in flying()}
-            idle = [s for s in remaining if s.index not in busy]
-            if any(s.suspect for s in remaining):
-                # Isolation mode: one suspect at a time, nothing else in
-                # flight, so the next pool break is attributable.
-                if not in_flight:
-                    ready = sorted(
-                        (s for s in idle if s.suspect and s.ready_at <= now),
-                        key=lambda s: s.index,
-                    )
-                    if ready:
-                        if not try_submit(ready[0], isolated=True):
-                            continue
-                    else:
-                        nap(min(s.ready_at for s in idle if s.suspect), now)
-                        continue
-            else:
-                dispatched_ok = True
-                for state in sorted(
-                    (s for s in idle if s.ready_at <= now),
-                    key=lambda s: s.index,
-                ):
-                    if not try_submit(state, isolated=False):
-                        dispatched_ok = False
-                        break
-                if not dispatched_ok:
-                    continue
+            suspects = [s for s in remaining if s.suspect]
+            busy = flying()
+            idle = [s for s in suspects or remaining if s not in busy]
+            room = (1 if suspects else capacity) - len(in_flight)
+            ready = [s for s in idle if s.ready_at <= now][: max(room, 0)]
+            if not all(try_submit(state) for state in ready):
+                continue
+            # Sleep until the next event: a completion, the earliest
+            # deadline or the earliest backoff expiry.
+            events = [s.ready_at for s in idle if s.ready_at > now]
+            if timeout is not None:
+                events += [sent + timeout for _, _, sent in in_flight.values()]
+            delay = max(0.0, min(events) - now) if events else None
             if not in_flight:
                 # Everything alive is waiting out a backoff window.
-                waiting = [s for s in incomplete() if s.ready_at > now]
-                if waiting:
-                    nap(min(s.ready_at for s in waiting), now)
+                time.sleep(delay)
                 continue
             done, _ = wait(
-                set(in_flight),
-                timeout=policy.poll_interval if policy is not None else None,
-                return_when=FIRST_COMPLETED,
+                set(in_flight), timeout=delay, return_when=FIRST_COMPLETED
             )
             now = time.monotonic()
             broken = False
             for future in done:
-                state, attempt, submitted, isolated = in_flight.pop(future)
-                seconds = now - running_since.pop(future, submitted)
+                state, attempt, sent = in_flight.pop(future)
+                seconds = now - sent
                 try:
-                    result = future.result()
+                    outcome = future.result()
                 except BrokenProcessPool as exc:
                     if policy is None:
                         raise
-                    if isolated:
+                    if state.suspect:
                         # Alone in the pool: the break is this shard's.
                         record_failure(
                             state,
@@ -639,38 +595,31 @@ def _supervise(
                         seconds,
                     )
                 else:
-                    record_success(state, attempt, seconds, result)
+                    record_success(state, attempt, seconds, outcome)
             if broken:
                 # The pool is condemned: everyone still in flight is a
                 # suspect (uncharged) and will re-run in isolation.
                 restart_pool(flying())
                 continue
-            # Straggler detection: deadlines accrue only while the
-            # future is actually *running* — a shard queued behind a
-            # busy pool is patient, not hung.
-            if timeout is not None and in_flight:
-                for future in in_flight:
-                    if future not in running_since and future.running():
-                        running_since[future] = now
-                overdue = [
-                    (future, state)
-                    for future, (state, _, _, _) in in_flight.items()
-                    if future in running_since
-                    and now - running_since[future] > timeout
-                ]
-                if overdue:
-                    report.stragglers += len(overdue)
-                    for future, state in overdue:
-                        record_failure(
-                            state,
-                            "timeout",
-                            f"exceeded {timeout}s shard deadline",
-                            now - running_since[future],
-                        )
-                    # The only way to stop a running future is to kill
-                    # its pool; innocents re-dispatch uncharged and
-                    # unsuspected (the cause is known: not them).
-                    restart_pool(())
+            # Straggler detection: nothing queues, so a shard's deadline
+            # counts from its dispatch.
+            overdue = [
+                (state, now - sent)
+                for state, _, sent in in_flight.values()
+                if timeout is not None and now - sent >= timeout
+            ]
+            if overdue:
+                for state, seconds in overdue:
+                    record_failure(
+                        state,
+                        "timeout",
+                        f"exceeded {timeout}s shard deadline",
+                        seconds,
+                    )
+                # The only way to stop a running future is to kill
+                # its pool; innocents re-dispatch uncharged and
+                # unsuspected (the cause is known: not them).
+                restart_pool(())
     finally:
         kill_pool()
     report.quarantined.sort()
@@ -720,7 +669,7 @@ def run_parallel_checkpointed_campaign(
     ``manifest.json`` (the retired one-file-per-shard layout) is
     refused.
 
-    Dispatch follows the module's rule: in this process at
+    Dispatch follows the module's rules: in this process at
     ``workers=1`` without a policy, over a process pool otherwise.
     ``on_shard(index, outcome)`` fires in this process after each
     shard's outcome is recorded (kill-injection hook).
@@ -766,9 +715,8 @@ def run_parallel_checkpointed_campaign(
     report = OrchestrationReport(
         num_shards=len(ordered),
         workers=workers,
-        policy=policy.to_dict() if policy is not None else {},
+        policy=asdict(policy) if policy is not None else {},
     )
-    timings: list[ShardTiming] = []
 
     def spec_for(index: int, attempt: int, in_process: bool) -> dict:
         """The picklable work order for one shard attempt."""
@@ -784,24 +732,28 @@ def run_parallel_checkpointed_campaign(
             "soc_config": soc_config,
         }
 
-    def on_complete(index, outcome, seconds):
+    def on_complete(index, outcome):
         checkpoint.record(outcome)
-        timings.append(ShardTiming(index, outcome.label, seconds))
         if on_shard is not None:
             on_shard(index, outcome)
 
-    _supervise(scheduled, spec_for, workers, policy, report, on_complete)
-
-    quarantined_shards = tuple(report.quarantined)
-    quarantined_labels = tuple(
-        ordered[index].label for index in quarantined_shards
+    _supervise(
+        {index: ordered[index].label for index in scheduled},
+        spec_for,
+        workers,
+        policy,
+        report,
+        on_complete,
     )
-    timings.sort(key=lambda t: t.index)
+
+    quarantined_labels = tuple(
+        ordered[index].label for index in report.quarantined
+    )
     if policy is not None:
         report.save(directory / ORCHESTRATION_REPORT_NAME)
-    if quarantined_shards and not policy.allow_partial:
+    if report.quarantined and not policy.allow_partial:
         raise OrchestrationError(
-            f"campaign quarantined shard(s) {list(quarantined_shards)} "
+            f"campaign quarantined shard(s) {report.quarantined} "
             f"covering scenarios {list(quarantined_labels)}; report at "
             f"{directory / ORCHESTRATION_REPORT_NAME} "
             "(pass allow_partial=True to accept a partial campaign)"
@@ -821,10 +773,7 @@ def run_parallel_checkpointed_campaign(
             for label in labels
             if checkpoint.done(label)
         },
-        shard_timings=timings,
-        num_shards=len(ordered),
+        report=report,
         scheduled=scheduled,
-        quarantined_shards=quarantined_shards,
         quarantined_labels=quarantined_labels,
-        report=report if policy is not None else None,
     )

@@ -98,6 +98,23 @@ def test_checkpoint_without_digest_is_quarantined(tmp_path):
     assert (tmp_path / ("checkpoint.json" + CORRUPT_SUFFIX)).read_text() == text
 
 
+def test_repeated_corruption_keeps_every_sidecar(tmp_path):
+    # A second corruption must not overwrite the first one's evidence:
+    # each lands in the first free sidecar name, which the warning names.
+    path = tmp_path / "checkpoint.json"
+    corruptions = (
+        ('{"version":1,"modules":["FWD"],"scenarios":[]}', "checkpoint.json.corrupt"),
+        ("not json {", "checkpoint.json.corrupt.1"),
+    )
+    for text, sidecar in corruptions:
+        path.write_text(text)
+        with pytest.warns(CheckpointCorruptionWarning, match=sidecar):
+            CampaignCheckpoint(path, ("FWD",))
+        assert not path.exists()
+    for text, sidecar in corruptions:
+        assert (tmp_path / sidecar).read_text() == text
+
+
 def test_verify_payload_reports_mismatch(tmp_path):
     reason = verify_payload(tmp_path / "x.json", {"a": 1, "digest": "0" * 32})
     assert reason is not None and "digest mismatch" in reason

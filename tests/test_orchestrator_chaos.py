@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from repro.core.determinism import Scenario
+from repro.core.determinism import Scenario, default_scenarios
 from repro.errors import (
     CheckpointCorruptionWarning,
     CheckpointError,
@@ -38,9 +38,12 @@ from repro.faults import (
 )
 from repro.faults.chaos import corrupt_file
 from repro.faults.orchestrator import (
+    BACKOFF_MAX,
     CHECKPOINT_NAME,
+    MAX_POOL_REBUILDS,
     ORCHESTRATION_REPORT_NAME,
     OrchestrationReport,
+    backoff_delay,
 )
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, small_provider
 from repro.soc import CodeAlignment, CodePosition
@@ -52,23 +55,18 @@ SCENARIOS = (
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: Fast retry policy shared by the happy-path chaos runs.
-FAST = dict(max_retries=2, backoff_base=0.01, seed=11)
-
-
-def fast_policy(**overrides):
-    return RetryPolicy(**{**FAST, **overrides})
-
 
 def outcome_dicts(result):
     return {label: o.to_dict() for label, o in result.outcomes.items()}
 
 
-def run_campaign(directory, *, chaos=None, policy=None, **kwargs):
+def run_campaign(
+    directory, *, chaos=None, policy=None, scenarios=SCENARIOS, **kwargs
+):
     kwargs.setdefault("modules", ("FWD",))
     kwargs.setdefault("workers", 2)
     return run_parallel_checkpointed_campaign(
-        small_provider(), SCENARIOS, DEFAULT_CAMPAIGN_MODELS, directory,
+        small_provider(), scenarios, DEFAULT_CAMPAIGN_MODELS, directory,
         chaos=chaos, policy=policy, **kwargs,
     )
 
@@ -102,9 +100,7 @@ def test_chaos_campaign_is_bit_identical(
     tmp_path, campaign_reference, kind, workers
 ):
     chaos = ChaosPolicy({0: campaign_chaos(kind)})
-    policy = fast_policy(
-        shard_timeout=1.0 if kind == "hang" else None
-    )
+    policy = RetryPolicy(shard_timeout=1.0 if kind == "hang" else None)
     result = run_campaign(
         tmp_path / "campaign", chaos=chaos, policy=policy, workers=workers
     )
@@ -124,6 +120,34 @@ def test_chaos_campaign_is_bit_identical(
         assert result.report.stragglers >= 1
 
 
+def test_slow_shards_never_queue_behind_their_deadline(tmp_path):
+    """Every shard takes a quarter of the deadline and one worker runs
+    them all: a shard's deadline counts from its dispatch, so it must
+    not start ticking while the shard waits behind the others."""
+    scenarios = [s for s in default_scenarios() if len(s.active_cores) == 2]
+    scenarios = scenarios[:6]
+    clean = run_campaign(tmp_path / "clean", scenarios=scenarios, workers=1)
+    # Unsupervised workers=1 runs in-process without being "degraded".
+    assert all(a.in_process for a in clean.report.attempts)
+    assert not clean.report.degraded_serial
+    chaos = ChaosPolicy(
+        {
+            index: ShardChaos(kind="hang", failures=None, hang_seconds=0.5)
+            for index in range(len(scenarios))
+        }
+    )
+    result = run_campaign(
+        tmp_path / "slow",
+        scenarios=scenarios,
+        workers=1,
+        chaos=chaos,
+        policy=RetryPolicy(shard_timeout=2.0),
+    )
+    assert [a.status for a in result.report.attempts] == ["ok"] * 6
+    assert result.report.stragglers == 0
+    assert outcome_dicts(result) == outcome_dicts(clean)
+
+
 def test_chaos_decision_sequence_is_deterministic(
     tmp_path, campaign_reference
 ):
@@ -138,7 +162,7 @@ def test_chaos_decision_sequence_is_deterministic(
     reports = []
     for name in ("a", "b"):
         result = run_campaign(
-            tmp_path / name, chaos=chaos, policy=fast_policy()
+            tmp_path / name, chaos=chaos, policy=RetryPolicy()
         )
         assert outcome_dicts(result) == campaign_reference
         reports.append(result.report.stable_dict())
@@ -157,7 +181,7 @@ def test_poison_shard_completes_campaign_with_quarantine_roster(
     result = run_campaign(
         tmp_path / "campaign",
         chaos=chaos,
-        policy=fast_policy(max_retries=1, allow_partial=True),
+        policy=RetryPolicy(max_retries=1, allow_partial=True),
     )
     assert not result.complete
     assert result.quarantined_shards == (1,)
@@ -180,7 +204,7 @@ def test_poison_without_allow_partial_raises_orchestration_error(tmp_path):
         run_campaign(
             tmp_path / "campaign",
             chaos=chaos,
-            policy=fast_policy(max_retries=1),
+            policy=RetryPolicy(max_retries=1),
         )
     # The report still landed next to the checkpoint for post-mortem.
     report_path = tmp_path / "campaign" / ORCHESTRATION_REPORT_NAME
@@ -204,7 +228,7 @@ def test_corrupted_checkpoints_recover_under_supervision(
     rotted bytes + retry of the injected failure still converge to the
     clean outcomes."""
     directory = tmp_path / "campaign"
-    clean = run_campaign(directory, policy=fast_policy())
+    clean = run_campaign(directory, policy=RetryPolicy())
     # Supervision without chaos changes nothing either.
     assert outcome_dicts(clean) == campaign_reference
     assert clean.quarantined_shards == ()
@@ -212,7 +236,7 @@ def test_corrupted_checkpoints_recover_under_supervision(
     chaos = ChaosPolicy({0: ShardChaos(kind="transient", failures=1)})
     with pytest.warns(CheckpointCorruptionWarning):
         result = run_campaign(
-            directory, chaos=chaos, policy=fast_policy()
+            directory, chaos=chaos, policy=RetryPolicy()
         )
     assert result.complete
     assert outcome_dicts(result) == campaign_reference
@@ -230,11 +254,14 @@ def test_corrupted_checkpoints_recover_under_supervision(
 def test_repeated_pool_death_degrades_to_serial(
     tmp_path, campaign_reference
 ):
-    chaos = ChaosPolicy({0: ShardChaos(kind="kill", failures=3)})
+    # The first kill breaks a shared pool (uncharged); the next
+    # MAX_POOL_REBUILDS kills run in isolation and exhaust the rebuilds;
+    # the last one fires in-process.
+    chaos = ChaosPolicy(
+        {0: ShardChaos(kind="kill", failures=MAX_POOL_REBUILDS + 1)}
+    )
     result = run_campaign(
-        tmp_path / "campaign",
-        chaos=chaos,
-        policy=fast_policy(max_retries=5, max_pool_rebuilds=1),
+        tmp_path / "campaign", chaos=chaos, policy=RetryPolicy(max_retries=5)
     )
     assert result.report.degraded_serial
     assert any(a.in_process for a in result.report.attempts)
@@ -253,30 +280,26 @@ def test_repeated_pool_death_degrades_to_serial(
 # ----------------------------------------------------------------------
 
 
+def _backoff_schedule(shard):
+    return [backoff_delay(shard, failure) for failure in range(1, 13)]
+
+
 def test_backoff_schedule_is_a_pure_function():
-    a = RetryPolicy(max_retries=4, backoff_base=0.05, seed=9)
-    b = RetryPolicy(max_retries=4, backoff_base=0.05, seed=9)
     for shard in range(8):
-        assert a.backoff_schedule(shard) == b.backoff_schedule(shard)
-    # Different seeds / shards de-synchronise the jitter.
-    c = RetryPolicy(max_retries=4, backoff_base=0.05, seed=10)
-    assert any(
-        a.backoff_schedule(s) != c.backoff_schedule(s) for s in range(8)
-    )
-    assert a.backoff_schedule(0) != a.backoff_schedule(1)
+        assert _backoff_schedule(shard) == _backoff_schedule(shard)
+    # Different shards de-synchronise the jitter at every failure count
+    # below the cap.
+    for failure in range(1, 10):
+        assert len({backoff_delay(s, failure) for s in range(8)}) > 1
+    assert _backoff_schedule(0) != _backoff_schedule(1)
 
 
 def test_backoff_grows_and_respects_cap():
-    policy = RetryPolicy(
-        max_retries=10, backoff_base=0.1, backoff_factor=2.0,
-        backoff_max=1.0, seed=3,
-    )
-    schedule = policy.backoff_schedule(0)
-    assert len(schedule) == 10
-    assert all(0.0 < delay <= 1.0 for delay in schedule)
-    assert schedule[-1] == 1.0  # capped
+    delays = _backoff_schedule(0)
+    assert all(0.0 < delay <= BACKOFF_MAX for delay in delays)
+    assert delays[-1] == BACKOFF_MAX  # capped
     # Exponential growth before the cap bites.
-    uncapped = [d for d in schedule if d < 1.0]
+    uncapped = [d for d in delays if d < BACKOFF_MAX]
     assert uncapped == sorted(uncapped)
 
 
@@ -290,27 +313,29 @@ def test_report_records_retry_and_quarantine(tmp_path):
     result = run_campaign(
         tmp_path / "campaign",
         chaos=chaos,
-        policy=fast_policy(max_retries=1, allow_partial=True),
+        policy=RetryPolicy(max_retries=1, allow_partial=True),
     )
     report = result.report
     shard0 = sorted(
         (a for a in report.attempts if a.shard == 0), key=lambda a: a.attempt
     )
     assert [a.status for a in shard0] == ["error", "error"]
-    assert shard0[0].backoff > 0.0
+    assert shard0[0].backoff == backoff_delay(0, 1) > 0.0
     assert report.quarantined == [0]
 
 
 def test_report_round_trips_and_lands_on_disk(tmp_path):
     chaos = ChaosPolicy({0: ShardChaos(kind="transient", failures=1)})
     result = run_campaign(
-        tmp_path / "campaign", chaos=chaos, policy=fast_policy()
+        tmp_path / "campaign", chaos=chaos, policy=RetryPolicy()
     )
     path = tmp_path / "campaign" / ORCHESTRATION_REPORT_NAME
     loaded = OrchestrationReport.from_dict(json.loads(path.read_text()))
     assert loaded.stable_dict() == result.report.stable_dict()
     assert loaded.retried_shards == [0]
-    assert loaded.backoff[0] == fast_policy().backoff_schedule(0)
+    assert [a.backoff for a in loaded.attempts if a.status != "ok"] == [
+        backoff_delay(0, 1)
+    ]
 
 
 def test_chaos_without_policy_is_rejected(tmp_path):
