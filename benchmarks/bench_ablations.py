@@ -15,7 +15,7 @@ Each ablation removes one rule of Section III and measures what breaks:
 from repro.core import CacheWrapperOptions, build_cache_wrapped, cache_wrapped_builder
 from repro.core.determinism import default_scenarios, run_scenario
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
-from repro.faults import coverage_range, forwarding_coverage
+from repro.faults import coverage_range, module_coverage
 from repro.soc import Soc
 from repro.stl import RoutineContext
 from repro.stl.routine import TestRoutine
@@ -43,7 +43,7 @@ def _loading_loop_ablation():
         }
         results = [run_scenario(builders, s) for s in scenarios]
         coverages = [
-            forwarding_coverage(r.per_core[0].log, CORE_MODEL_A) for r in results
+            module_coverage("FWD", r.per_core[0].log, CORE_MODEL_A) for r in results
         ]
         outcomes[label] = coverage_range(coverages)
     return outcomes

@@ -12,7 +12,7 @@ from repro.core import build_cache_wrapped, split_routine
 from repro.core.determinism import Scenario, run_scenario
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
 from repro.cpu.recording import ActivationLog
-from repro.faults import forwarding_coverage
+from repro.faults import module_coverage
 from repro.mem.cache import CacheConfig
 from repro.soc import CodeAlignment, CodePosition, Soc
 from repro.stl import RoutineContext
@@ -63,7 +63,7 @@ def sweep_cache_sizes():
             max_part_bytes = max(max_part_bytes, program.size_bytes)
             log = _run_part(program)
             combined.forwarding.extend(log.forwarding)
-        coverage = forwarding_coverage(combined, CORE_MODEL_A)
+        coverage = module_coverage("FWD", combined, CORE_MODEL_A)
         results.append((size, len(parts), max_part_bytes, coverage))
     return results
 

@@ -17,11 +17,7 @@ cache-based strategy must restore a stable figure.
 from repro.core import cache_wrapped_builder
 from repro.core.determinism import default_scenarios, run_scenario
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
-from repro.faults import (
-    coverage_range,
-    forwarding_coverage,
-    forwarding_transition_coverage,
-)
+from repro.faults import coverage_range, module_coverage
 from repro.stl import RoutineContext
 from repro.stl.routines import make_forwarding_routine
 from repro.utils.tables import format_table
@@ -48,28 +44,28 @@ def run_delay_fault_experiment():
     for core_id, model in MODELS.items():
         stuck_plain = coverage_range(
             [
-                forwarding_coverage(r.per_core[core_id].log, model)
+                module_coverage("FWD", r.per_core[core_id].log, model)
                 for r in plain_results
                 if core_id in r.per_core
             ]
         )
         stuck_cached = coverage_range(
             [
-                forwarding_coverage(r.per_core[core_id].log, model)
+                module_coverage("FWD", r.per_core[core_id].log, model)
                 for r in wrapped_results
                 if core_id in r.per_core
             ]
         )
         tdf_plain = coverage_range(
             [
-                forwarding_transition_coverage(r.per_core[core_id].log, model)
+                module_coverage("FWD-TDF", r.per_core[core_id].log, model)
                 for r in plain_results
                 if core_id in r.per_core
             ]
         )
         tdf_cached = coverage_range(
             [
-                forwarding_transition_coverage(r.per_core[core_id].log, model)
+                module_coverage("FWD-TDF", r.per_core[core_id].log, model)
                 for r in wrapped_results
                 if core_id in r.per_core
             ]

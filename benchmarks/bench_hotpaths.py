@@ -24,13 +24,8 @@ import pathlib
 import time
 
 from repro.core.determinism import default_scenarios, run_scenario
+from repro.faults.campaign import grading_items
 from repro.faults.compiled import compiled_for
-from repro.faults.generators import get_modules
-from repro.faults.observability import (
-    forwarding_pattern_sets,
-    hdcu_pattern_sets,
-    icu_pattern_set,
-)
 from repro.faults.ppsfp import fault_simulate
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS, standard_provider
 from repro.utils.tables import format_table
@@ -42,8 +37,9 @@ RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / (
 )
 
 
-def grading_items():
-    """Every (netlist, patterns, faults) item of the scenario matrix."""
+def matrix_items():
+    """Every stuck-at (netlist, patterns, faults) item of the scenario
+    matrix that the campaign's FWD/HDCU/ICU grading simulates."""
     builders = standard_provider()()
     items = []
     for scenario in default_scenarios():
@@ -52,20 +48,12 @@ def grading_items():
             if core_id not in result.per_core:
                 continue
             log = result.per_core[core_id].log
-            modules = get_modules(model)
-            fwd = forwarding_pattern_sets(log, modules)
-            for port, faults in modules.forwarding_faults.items():
-                patterns = fwd.get(port)
-                if patterns is not None and patterns.num_patterns:
-                    items.append((modules.forwarding[port], patterns, faults))
-            hdcu = hdcu_pattern_sets(log, modules)
-            for port, faults in modules.hdcu_faults.items():
-                patterns = hdcu.get(port)
-                if patterns is not None and patterns.num_patterns:
-                    items.append((modules.hdcu[port], patterns, faults))
-            icu = icu_pattern_set(log, modules)
-            if icu.num_patterns:
-                items.append((modules.icu, icu, modules.icu_faults))
+            items += [
+                item
+                for module in ("FWD", "HDCU", "ICU")
+                for item in grading_items(module, log, model)
+                if item[1] is not None
+            ]
     return items
 
 
@@ -83,7 +71,7 @@ def test_compiled_kernel_speedup(emit):
     cpus = os.cpu_count() or 1
 
     setup_start = time.perf_counter()
-    items = grading_items()
+    items = matrix_items()
     setup_seconds = time.perf_counter() - setup_start
     # The work volume behind the throughput proxy: one gate evaluation
     # per gate per fault is what the interpreted engine's cost model

@@ -21,8 +21,8 @@ from repro import (
     RoutineContext,
     cache_wrapped_builder,
     default_scenarios,
-    forwarding_coverage,
     make_forwarding_routine,
+    module_coverage,
     run_scenario,
 )
 from repro.utils.tables import format_table
@@ -50,13 +50,13 @@ def main() -> None:
     wrapped_results = [run_scenario(wrapped, s) for s in scenarios]
     for core_id, model in MODELS.items():
         no_cache = [
-            forwarding_coverage(r.per_core[core_id].log, model).coverage_percent
+            module_coverage("FWD", r.per_core[core_id].log, model).coverage_percent
             for r in plain_results
             if core_id in r.per_core
         ]
         cached = {
             round(
-                forwarding_coverage(r.per_core[core_id].log, model).coverage_percent,
+                module_coverage("FWD", r.per_core[core_id].log, model).coverage_percent,
                 6,
             )
             for r in wrapped_results
@@ -78,7 +78,7 @@ def main() -> None:
         )
     for r, s in zip(plain_results, scenarios):
         if 0 in r.per_core:
-            fc = forwarding_coverage(r.per_core[0].log, CORE_MODEL_A)
+            fc = module_coverage("FWD", r.per_core[0].log, CORE_MODEL_A)
             per_scenario.append((s.label, f"{fc.coverage_percent:.2f}"))
     print()
     print(

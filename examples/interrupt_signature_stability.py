@@ -22,8 +22,8 @@ from repro import (
     cache_wrapped_builder,
     default_scenarios,
     finalise_with_expected,
-    icu_coverage,
     make_interrupt_routine,
+    module_coverage,
     run_scenario,
     single_core_scenarios,
 )
@@ -64,7 +64,7 @@ def main() -> None:
     rows = []
     for core_id, model in MODELS.items():
         single = run_scenario(plain_builders, single_core_scenarios(core_id)[0])
-        single_fc = icu_coverage(single.per_core[core_id].log, model)
+        single_fc = module_coverage("ICU", single.per_core[core_id].log, model)
         multi_plain = [run_scenario(plain_builders, s) for s in scenarios]
         verdicts = [
             r.per_core[core_id].mailbox
@@ -79,7 +79,7 @@ def main() -> None:
             if core_id in r.per_core
         }
         wrapped_fc = max(
-            icu_coverage(r.per_core[core_id].log, model).coverage_percent
+            module_coverage("ICU", r.per_core[core_id].log, model).coverage_percent
             for r in multi_wrapped
             if core_id in r.per_core
         )

@@ -12,7 +12,7 @@ instruction cache, splits it, runs every part cache-wrapped, and shows
 that the parts' combined coverage equals the unsplit routine's.
 """
 
-from repro import CORE_MODEL_A, RoutineContext, forwarding_coverage
+from repro import CORE_MODEL_A, RoutineContext, module_coverage
 from repro.core import build_cache_wrapped, split_routine, validate_cache_residency
 from repro.cpu.recording import ActivationLog
 from repro.mem.cache import CacheConfig
@@ -77,8 +77,8 @@ def main() -> None:
             title=f"Split into {len(parts)} cache-sized parts",
         )
     )
-    whole_fc = forwarding_coverage(run_wrapped(whole), CORE_MODEL_A)
-    parts_fc = forwarding_coverage(combined, CORE_MODEL_A)
+    whole_fc = module_coverage("FWD", run_wrapped(whole), CORE_MODEL_A)
+    parts_fc = module_coverage("FWD", combined, CORE_MODEL_A)
     print(
         f"\nfault coverage unsplit: {whole_fc.coverage_percent:.2f}%   "
         f"combined over parts: {parts_fc.coverage_percent:.2f}%"

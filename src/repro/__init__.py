@@ -48,12 +48,7 @@ from repro.cpu import (
     Core,
     CoreModel,
 )
-from repro.faults import (
-    forwarding_coverage,
-    get_modules,
-    hdcu_coverage,
-    icu_coverage,
-)
+from repro.faults import get_modules, module_coverage
 from repro.soc import (
     CodeAlignment,
     CodePosition,
@@ -96,10 +91,8 @@ __all__ = [
     "CORE_MODEL_C",
     "Core",
     "CoreModel",
-    "forwarding_coverage",
     "get_modules",
-    "hdcu_coverage",
-    "icu_coverage",
+    "module_coverage",
     "CodeAlignment",
     "CodePosition",
     "Soc",

@@ -21,16 +21,16 @@ from repro.core.determinism import (
     run_scenario,
     single_core_scenarios,
 )
-from repro.core.golden import finalise_with_expected, run_alone
+from repro.core.golden import DEFAULT_MAX_CYCLES, finalise_with_expected, run_alone
 from repro.core.tcm_wrapper import build_tcm_wrapped
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C, CoreModel
 from repro.cpu.trace import render_pipeline_diagram
 from repro.errors import SimulationError
 from repro.faults.campaign import (
-    COVERAGE_GRADERS,
     CoverageRange,
     coverage_range,
     coverage_ranges,
+    module_coverage,
 )
 from repro.faults.generators import get_modules
 from repro.faults.orchestrator import run_parallel_checkpointed_campaign
@@ -388,11 +388,11 @@ def table3_icu_hdcu(
             for s in multicore_scenarios
         ]
         for core_id, model in MODELS.items():
-            single_cov = COVERAGE_GRADERS[module](
-                single_runs[core_id].per_core[core_id].log, model
+            single_cov = module_coverage(
+                module, single_runs[core_id].per_core[core_id].log, model
             )
             cached_covs = [
-                COVERAGE_GRADERS[module](r.per_core[core_id].log, model)
+                module_coverage(module, r.per_core[core_id].log, model)
                 for r in wrapped_multi
                 if core_id in r.per_core
             ]
@@ -478,7 +478,7 @@ def table4_tcm_vs_cache(
     soc = Soc(soc_config)
     deployment.load(soc, core_id)
     soc.start_core(core_id, deployment.entry_point)
-    soc.run(max_cycles=4_000_000)
+    soc.run(max_cycles=DEFAULT_MAX_CYCLES)
     result.rows.append(
         Table4Row(
             approach="TCM-based",
@@ -643,7 +643,7 @@ def fig2_structure_audit(
     # Run until the execution loop starts (TESTWIN turns 1), sampling
     # the fill counter at the boundary.
     loading_fills = None
-    for _ in range(4_000_000):
+    for _ in range(DEFAULT_MAX_CYCLES):
         soc.step()
         if loading_fills is None and core.testwin & 1:
             loading_fills = core.icache.stats.fills

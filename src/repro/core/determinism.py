@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.core.golden import DEFAULT_MAX_CYCLES
 from repro.cpu.recording import ActivationLog
 from repro.isa.program import Program
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
@@ -24,8 +25,6 @@ from repro.stl.conventions import SIG_REG
 
 #: Builder signature: base_address -> Program.
 ProgramBuilder = Callable[[int], Program]
-
-DEFAULT_MAX_CYCLES = 4_000_000
 
 
 @dataclass(frozen=True)

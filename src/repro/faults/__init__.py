@@ -14,11 +14,8 @@ from repro.faults.campaign import (
     ScenarioOutcome,
     coverage_range,
     coverage_ranges,
-    forwarding_coverage,
-    forwarding_transition_coverage,
-    hdcu_coverage,
     grade_scenario,
-    icu_coverage,
+    module_coverage,
 )
 from repro.faults.chaos import ChaosError, ChaosPolicy, ShardChaos, corrupt_file
 from repro.faults.compiled import CompiledNetlist, compiled_for
@@ -81,6 +78,7 @@ __all__ = [
     "coverage_range",
     "coverage_ranges",
     "grade_scenario",
+    "module_coverage",
     "ChaosError",
     "ChaosPolicy",
     "ShardChaos",
@@ -100,13 +98,9 @@ __all__ = [
     "GlitchStats",
     "InjectionRecord",
     "SoftErrorInjector",
-    "forwarding_coverage",
-    "forwarding_transition_coverage",
     "TransitionFault",
     "enumerate_transition_faults",
     "transition_fault_simulate",
-    "hdcu_coverage",
-    "icu_coverage",
     "GateKind",
     "eval_gate",
     "CoreModules",

@@ -13,7 +13,10 @@ inputs).
 
 This is plain random-pattern ATPG with fault dropping — no structural
 backtracking — which is entirely adequate for the shallow mux/compare
-netlists modelled here.
+netlists modelled here.  Each round is one
+:func:`~repro.faults.ppsfp.fault_simulate` call on the compiled kernel,
+sharing one :class:`~repro.faults.ppsfp.DropSet` across rounds, so
+running ATPG freezes the netlist like any other grading does.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.faults.netlist import Netlist
-from repro.faults.ppsfp import PatternSet, _propagate, good_simulation
-from repro.faults.stuckat import StuckAtFault, collapse_with_weights
+from repro.faults.ppsfp import DropSet, PatternSet, fault_simulate
+from repro.faults.stuckat import collapse_with_weights
 from repro.utils.bitops import mask as bitmask
 from repro.utils.rng import DeterministicRng
 
@@ -66,14 +69,14 @@ def random_pattern_atpg(
     """
     rng = DeterministicRng(seed)
     weighted = collapse_with_weights(netlist)
-    remaining: list[tuple[StuckAtFault, int]] = list(weighted)
     total = sum(weight for _, weight in weighted)
+    drop_set = DropSet()
     detected = 0
     applied = 0
     dry = 0
     rounds = 0
     mask = bitmask(patterns_per_round)
-    while remaining and rounds < max_rounds and dry < dry_rounds:
+    while detected < total and rounds < max_rounds and dry < dry_rounds:
         rounds += 1
         applied += patterns_per_round
         inputs = {
@@ -87,21 +90,9 @@ def random_pattern_atpg(
             inputs=inputs,
             output_observability={net: mask for net in netlist.output_nets},
         )
-        good = good_simulation(netlist, patterns)
-        survivors = []
-        newly = 0
-        for fault, weight in remaining:
-            faulty_value = 0 if fault.value == 0 else mask
-            if _propagate(
-                netlist, good, fault.net, faulty_value, mask,
-                patterns.output_observability,
-            ):
-                detected += weight
-                newly += weight
-            else:
-                survivors.append((fault, weight))
-        remaining = survivors
-        dry = dry + 1 if newly == 0 else 0
+        result = fault_simulate(netlist, patterns, weighted, dropped=drop_set)
+        dry = dry + 1 if result.detected_faults == detected else 0
+        detected = result.detected_faults
     return AtpgResult(
         module=netlist.name,
         total_faults=total,

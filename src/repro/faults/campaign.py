@@ -65,87 +65,76 @@ class ModuleCoverage:
         )
 
 
-def forwarding_coverage(log: ActivationLog, model: CoreModel) -> ModuleCoverage:
-    """Grade the forwarding-logic fault list against one run's log."""
-    modules = get_modules(model)
-    pattern_sets = forwarding_pattern_sets(log, modules)
-    detected = 0
-    for port, faults in modules.forwarding_faults.items():
-        patterns = pattern_sets.get(port)
-        if patterns is None or patterns.num_patterns == 0:
-            continue
-        result = fault_simulate(modules.forwarding[port], patterns, faults)
-        detected += result.detected_faults
-    return ModuleCoverage(
-        module="FWD",
-        core_model=model.name,
-        total_faults=modules.forwarding_fault_count,
-        detected_faults=detected,
-    )
+#: Module labels a campaign can grade: the keys of a checkpoint's
+#: ``modules``, the ``faultsim --modules`` choices and the ``module``
+#: argument of :func:`module_coverage`.
+COVERAGE_GRADERS = ("FWD", "HDCU", "ICU", "FWD-TDF")
 
 
-def hdcu_coverage(log: ActivationLog, model: CoreModel) -> ModuleCoverage:
-    """Grade the HDCU fault list against one run's log."""
-    modules = get_modules(model)
-    pattern_sets = hdcu_pattern_sets(log, modules)
-    detected = 0
-    for port, faults in modules.hdcu_faults.items():
-        patterns = pattern_sets.get(port)
-        if patterns is None or patterns.num_patterns == 0:
-            continue
-        result = fault_simulate(modules.hdcu[port], patterns, faults)
-        detected += result.detected_faults
-    return ModuleCoverage(
-        module="HDCU",
-        core_model=model.name,
-        total_faults=modules.hdcu_fault_count,
-        detected_faults=detected,
-    )
+def grading_items(module: str, log: ActivationLog, model: CoreModel):
+    """Yield ``(netlist, patterns, faults)`` for every port of one module.
 
-
-def icu_coverage(log: ActivationLog, model: CoreModel) -> ModuleCoverage:
-    """Grade the ICU fault list against one run's log."""
-    modules = get_modules(model)
-    patterns = icu_pattern_set(log, modules)
-    if patterns.num_patterns == 0:
-        detected = 0
-    else:
-        detected = fault_simulate(
-            modules.icu, patterns, modules.icu_faults
-        ).detected_faults
-    return ModuleCoverage(
-        module="ICU",
-        core_model=model.name,
-        total_faults=modules.icu_fault_count,
-        detected_faults=detected,
-    )
-
-
-def forwarding_transition_coverage(
-    log: ActivationLog, model: CoreModel
-) -> ModuleCoverage:
-    """Grade transition-delay faults on the forwarding logic.
-
-    Uses *ordered* pattern sets: a delay fault needs its launch
-    transition and capture to be consecutive applied vectors, which is
-    exactly what multi-core fetch gaps destroy — the paper's conclusion
-    expects the determinism problem to be "further emphasized with
-    delay faults".
+    ``patterns`` is None where the run left the port nothing to grade:
+    no pattern set, or fewer patterns than the fault model needs (one
+    for stuck-at, a launch/capture pair for transition delay).  The
+    pattern-set builders and the transition-fault enumerator are looked
+    up on this module when called, so a caller can patch them here.
     """
     modules = get_modules(model)
-    pattern_sets = forwarding_pattern_sets(log, modules, ordered=True)
-    detected = 0
+    if module == "FWD":
+        sets = forwarding_pattern_sets(log, modules)
+        ports = [
+            (modules.forwarding[port], sets.get(port), faults)
+            for port, faults in modules.forwarding_faults.items()
+        ]
+    elif module == "HDCU":
+        sets = hdcu_pattern_sets(log, modules)
+        ports = [
+            (modules.hdcu[port], sets.get(port), faults)
+            for port, faults in modules.hdcu_faults.items()
+        ]
+    elif module == "ICU":
+        ports = [(modules.icu, icu_pattern_set(log, modules), modules.icu_faults)]
+    elif module == "FWD-TDF":
+        # Ordered sets: a delay fault needs its launch and capture to be
+        # consecutive applied vectors, which multi-core fetch gaps
+        # destroy — the paper's conclusion expects the determinism
+        # problem to be "further emphasized with delay faults".
+        sets = forwarding_pattern_sets(log, modules, ordered=True)
+        ports = (
+            (netlist, sets.get(port), enumerate_transition_faults(netlist))
+            for port, netlist in modules.forwarding.items()
+        )
+    else:
+        raise ValueError(f"unknown coverage module {module!r}")
+    needed = 2 if module == "FWD-TDF" else 1
+    for netlist, patterns, faults in ports:
+        if patterns is not None and patterns.num_patterns < needed:
+            patterns = None
+        yield netlist, patterns, faults
+
+
+def module_coverage(
+    module: str, log: ActivationLog, model: CoreModel
+) -> ModuleCoverage:
+    """Grade one module's fault list against one core's activation log.
+
+    ``module`` is one of :data:`COVERAGE_GRADERS`: the stuck-at
+    forwarding, HDCU and ICU fault lists, or transition-delay faults on
+    the forwarding logic (``"FWD-TDF"``).  Ports without patterns count
+    towards the total but are not simulated.  The fault simulators are
+    looked up on this module when called, so a caller can patch them.
+    """
+    transition = module == "FWD-TDF"
+    simulate = transition_fault_simulate if transition else fault_simulate
     total = 0
-    for port, netlist in modules.forwarding.items():
-        faults = enumerate_transition_faults(netlist)
-        total += len(faults)
-        patterns = pattern_sets.get(port)
-        if patterns is None or patterns.num_patterns < 2:
-            continue
-        result = transition_fault_simulate(netlist, patterns, faults)
-        detected += result.detected_faults
+    detected = 0
+    for netlist, patterns, faults in grading_items(module, log, model):
+        total += len(faults) if transition else sum(w for _, w in faults)
+        if patterns is not None:
+            detected += simulate(netlist, patterns, faults).detected_faults
     return ModuleCoverage(
-        module="FWD-TDF",
+        module=module,
         core_model=model.name,
         total_faults=total,
         detected_faults=detected,
@@ -196,14 +185,6 @@ def coverage_range(coverages: list[ModuleCoverage]) -> CoverageRange:
 # loop is repro.faults.orchestrator.run_parallel_checkpointed_campaign;
 # this module holds its per-scenario grading and its checkpoint.
 # ----------------------------------------------------------------------
-
-#: Module label -> grading function over one core's activation log.
-COVERAGE_GRADERS = {
-    "FWD": forwarding_coverage,
-    "HDCU": hdcu_coverage,
-    "ICU": icu_coverage,
-    "FWD-TDF": forwarding_transition_coverage,
-}
 
 CHECKPOINT_VERSION = 1
 
@@ -434,8 +415,9 @@ def grade_scenario(
     The scenario runs once, under ``run_scenario``'s cycle watchdog; a
     :class:`repro.errors.ReproError` becomes the outcome's ``error``
     instead of propagating.  A scenario is deterministic, so a re-run
-    would fail the same way.  ``run_scenario`` and the graders are
-    looked up when called, so a caller can patch them on their modules.
+    would fail the same way.  ``run_scenario`` and
+    :func:`module_coverage`'s kernels are looked up when called, so a
+    caller can patch them on their modules.
     """
     # Imported here: repro.core builds on repro.faults results in the
     # analysis layer, so the module-level direction stays faults <- core.
@@ -455,8 +437,8 @@ def grade_scenario(
     outcome.coverages = [
         {
             "core_id": core_id,
-            **COVERAGE_GRADERS[module](
-                result.per_core[core_id].log, models[core_id]
+            **module_coverage(
+                module, result.per_core[core_id].log, models[core_id]
             ).to_dict(),
         }
         for module in modules

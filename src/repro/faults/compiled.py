@@ -35,9 +35,15 @@ per-model module netlists are process-cached in
 :mod:`repro.faults.generators`, every worker process compiles each
 netlist exactly once.
 
-The compiled engine is selected with ``engine="compiled"`` (the
-default) on :func:`repro.faults.ppsfp.fault_simulate` and friends; its
-results are bit-identical to ``engine="interpreted"`` — same detected
+The engine choice (``engine="compiled"``, the default, on
+:func:`repro.faults.ppsfp.fault_simulate` and
+:func:`repro.faults.transition.transition_fault_simulate`) selects the
+per-fault propagator and nothing else: :meth:`CompiledNetlist.propagator`
+here, or the interpreted reference walk; each fault model's one
+per-fault loop runs over whichever it gets.  The campaign's
+``module_coverage`` and random-pattern ATPG (:mod:`repro.faults.atpg`)
+both grade on this kernel, so ATPG freezes the netlists it analyses.
+Results are bit-identical to ``engine="interpreted"`` — same detected
 fault sets, same coverage, same signatures — which the differential
 suite ``tests/test_compiled_equivalence.py`` pins across fault models
 and through a whole checkpointed campaign.

@@ -7,28 +7,33 @@ then re-evaluates only its downstream cone, and a fault is *detected*
 when a faulty output bit differs from the good value on a pattern where
 that output is observable (reaches the 32-bit test signature).
 
-Two engines share this contract and produce bit-identical results:
+The engine selects a propagator and nothing else; each fault model
+keeps one per-fault loop over whichever propagator it is given, and
+the two produce bit-identical results:
 
 * ``engine="compiled"`` (default) — the levelized array kernel of
   :mod:`repro.faults.compiled`: per-kind batched good simulation,
   cone-cached propagation, preallocated buffers.
-* ``engine="interpreted"`` — the original per-gate reference path,
-  kept selectable (and continuously differential-tested) both as the
-  correctness oracle and for netlists that are still under
-  construction, since compiling freezes the structure.
+* ``engine="interpreted"`` — the original per-gate reference path
+  (:func:`_propagate`), kept selectable (and continuously
+  differential-tested) both as the correctness oracle and for netlists
+  that are still under construction, since compiling freezes the
+  structure.
 
-Both engines support **fault dropping** through a :class:`DropSet`:
+Both loops support **fault dropping** through a :class:`DropSet`:
 a registry of detected ``stable_id``s shared across calls (pattern
-blocks, scenarios) of one cumulative grading campaign.  A fault whose
-id is already in the set is credited as detected without simulating —
-the classic fault-dropping optimisation.  Both engines record the same
-ids, so the drop set, like the result, is engine-independent.
+blocks, scenarios, ATPG rounds) of one cumulative grading run.  A fault
+whose id is already in the set is credited as detected without
+simulating — the classic fault-dropping optimisation.  The set records
+the same ids under either engine, so it, like the result, is
+engine-independent.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import FaultModelError
 from repro.faults.compiled import compiled_for
@@ -38,13 +43,6 @@ from repro.utils.bitops import mask as bitmask
 
 #: Selectable fault-simulation engines.
 ENGINES = ("compiled", "interpreted")
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise FaultModelError(
-            f"unknown engine {engine!r} (choices: {', '.join(ENGINES)})"
-        )
 
 
 class DropSet:
@@ -167,6 +165,39 @@ def _propagate(
     return False
 
 
+def _propagator(netlist: Netlist, patterns: PatternSet, engine: str):
+    """``(good, propagate)`` for grading one pattern set under ``engine``.
+
+    The engine's only choice: ``propagate(site, faulty_site_value)``
+    returns True when the faulty value reaches an observed output on an
+    observed pattern.  ``good`` is the fault-free packed value of every
+    net, which the transition kernel reads to find its launches.
+    """
+    if engine not in ENGINES:
+        raise FaultModelError(
+            f"unknown engine {engine!r} (choices: {', '.join(ENGINES)})"
+        )
+    observability = patterns.output_observability
+    for net in observability:
+        if not 0 <= net < netlist.num_nets:
+            raise FaultModelError(f"observability on unknown net {net}")
+    mask = patterns.mask
+    if engine == "compiled":
+        compiled = compiled_for(netlist)
+        good = compiled.evaluate(patterns.inputs, mask)
+        propagate = compiled.propagator(
+            good,
+            mask,
+            compiled.observability_vector(observability),
+            compiled.can_truncate(observability),
+        )
+        return good, propagate
+    good = good_simulation(netlist, patterns)
+    return good, partial(
+        _propagate, netlist, good, mask=mask, observability=observability
+    )
+
+
 def fault_simulate(
     netlist: Netlist,
     patterns: PatternSet,
@@ -188,49 +219,24 @@ def fault_simulate(
     ``stable_id`` is already recorded are credited as detected without
     simulation, and new detections are added to the set.
     """
-    _check_engine(engine)
+    _, propagate = _propagator(netlist, patterns, engine)
     if faults is None:
         faults = collapse_with_weights(netlist)
     weighted: list[tuple[StuckAtFault, int]] = [
         item if isinstance(item, tuple) else (item, 1) for item in faults
     ]
-    for net in patterns.output_observability:
-        if net >= netlist.num_nets:
-            raise FaultModelError(f"observability on unknown net {net}")
     mask = patterns.mask
     detected = 0
     total = 0
-    if engine == "compiled":
-        compiled = compiled_for(netlist)
-        good = compiled.evaluate(patterns.inputs, mask)
-        obs = compiled.observability_vector(patterns.output_observability)
-        truncated = compiled.can_truncate(patterns.output_observability)
-        propagate = compiled.propagator(good, mask, obs, truncated)
-        for fault, weight in weighted:
-            total += weight
-            if dropped is not None and fault.stable_id in dropped:
-                detected += weight
-                continue
-            faulty_value = 0 if fault.value == 0 else mask
-            if propagate(fault.net, faulty_value):
-                detected += weight
-                if dropped is not None:
-                    dropped.add(fault.stable_id)
-    else:
-        good = good_simulation(netlist, patterns)
-        observability = patterns.output_observability
-        for fault, weight in weighted:
-            total += weight
-            if dropped is not None and fault.stable_id in dropped:
-                detected += weight
-                continue
-            faulty_value = 0 if fault.value == 0 else mask
-            if _propagate(
-                netlist, good, fault.net, faulty_value, mask, observability
-            ):
-                detected += weight
-                if dropped is not None:
-                    dropped.add(fault.stable_id)
+    for fault, weight in weighted:
+        total += weight
+        if dropped is not None and fault.stable_id in dropped:
+            detected += weight
+            continue
+        if propagate(fault.net, 0 if fault.value == 0 else mask):
+            detected += weight
+            if dropped is not None:
+                dropped.add(fault.stable_id)
     return FaultSimResult(
         module=netlist.name,
         total_faults=total,

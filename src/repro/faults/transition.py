@@ -32,16 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.faults.compiled import compiled_for
 from repro.faults.netlist import Netlist
-from repro.faults.ppsfp import (
-    DropSet,
-    FaultSimResult,
-    PatternSet,
-    _check_engine,
-    _propagate,
-    good_simulation,
-)
+from repro.faults.ppsfp import DropSet, FaultSimResult, PatternSet, _propagator
 
 
 @dataclass(frozen=True)
@@ -90,19 +82,10 @@ def transition_fault_simulate(
     bit-identical to the interpreted path, and a :class:`DropSet`
     credits already-detected faults without re-simulating them.
     """
-    _check_engine(engine)
+    good, propagate = _propagator(netlist, patterns, engine)
     if faults is None:
         faults = enumerate_transition_faults(netlist)
     mask = patterns.mask
-    if engine == "compiled":
-        compiled = compiled_for(netlist)
-        good = compiled.evaluate(patterns.inputs, mask)
-        obs = compiled.observability_vector(patterns.output_observability)
-        truncated = compiled.can_truncate(patterns.output_observability)
-        propagate = compiled.propagator(good, mask, obs, truncated)
-    else:
-        good = good_simulation(netlist, patterns)
-        propagate = None
     detected = 0
     for fault in faults:
         if dropped is not None and fault.stable_id in dropped:
@@ -116,15 +99,7 @@ def transition_fault_simulate(
             launch = ~value & previous & mask
         if not launch:
             continue
-        faulty_value = value ^ launch
-        if propagate is not None:
-            hit = propagate(fault.net, faulty_value)
-        else:
-            hit = _propagate(
-                netlist, good, fault.net, faulty_value, mask,
-                patterns.output_observability,
-            )
-        if hit:
+        if propagate(fault.net, value ^ launch):
             detected += 1
             if dropped is not None:
                 dropped.add(fault.stable_id)

@@ -1,6 +1,8 @@
 """Tests of the random-pattern ATPG ceiling analysis."""
 
-from repro.cpu.core import CORE_MODEL_A
+import pytest
+
+from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
 from repro.faults.atpg import (
     forwarding_ceiling,
     forwarding_select_constraint,
@@ -78,3 +80,53 @@ def test_unconstrained_ceiling_is_higher_than_functional():
     unconstrained = random_pattern_atpg(netlist)
     functional = forwarding_ceiling(CORE_MODEL_A)
     assert unconstrained.ceiling_percent > functional.ceiling_percent
+
+
+#: Exact ``forwarding_ceiling`` outcome of every forwarding port, keyed
+#: by (core model, port, patterns per round), as (detected, total,
+#: rounds, patterns applied).  At the default 256 patterns the first
+#: round already reaches the ceiling; at 16 it builds up over several
+#: rounds, which only the rounds' shared DropSet makes cumulative.
+CEILING_PIN = {
+    ("A", (0, 0), 256): (1508, 1814, 4, 1024),
+    ("A", (0, 1), 256): (1526, 1832, 4, 1024),
+    ("A", (1, 0), 256): (1468, 1796, 4, 1024),
+    ("A", (1, 1), 256): (1467, 1822, 4, 1024),
+    ("B", (0, 0), 256): (1698, 2116, 4, 1024),
+    ("B", (0, 1), 256): (1689, 2080, 4, 1024),
+    ("B", (1, 0), 256): (1669, 2064, 4, 1024),
+    ("B", (1, 1), 256): (1629, 2058, 4, 1024),
+    ("C", (0, 0), 256): (2965, 3612, 4, 1024),
+    ("C", (0, 1), 256): (2959, 3604, 4, 1024),
+    ("C", (1, 0), 256): (2977, 3604, 4, 1024),
+    ("C", (1, 1), 256): (2956, 3604, 4, 1024),
+    ("A", (0, 0), 16): (1508, 1814, 8, 128),
+    ("A", (0, 1), 16): (1526, 1832, 8, 128),
+    ("A", (1, 0), 16): (1468, 1796, 8, 128),
+    ("A", (1, 1), 16): (1467, 1822, 8, 128),
+    ("B", (0, 0), 16): (1698, 2116, 8, 128),
+    ("B", (0, 1), 16): (1689, 2080, 8, 128),
+    ("B", (1, 0), 16): (1669, 2064, 8, 128),
+    ("B", (1, 1), 16): (1629, 2058, 8, 128),
+    ("C", (0, 0), 16): (2965, 3612, 10, 160),
+    ("C", (0, 1), 16): (2959, 3604, 10, 160),
+    ("C", (1, 0), 16): (2977, 3604, 10, 160),
+    ("C", (1, 1), 16): (2956, 3604, 10, 160),
+}
+
+MODELS = {model.name: model for model in (CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C)}
+
+
+@pytest.mark.parametrize(
+    "name, port, per_round",
+    sorted(CEILING_PIN),
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_forwarding_ceiling_matches_pin(name, port, per_round):
+    result = forwarding_ceiling(MODELS[name], port, patterns_per_round=per_round)
+    assert (
+        result.detected_faults,
+        result.total_faults,
+        result.rounds,
+        result.patterns_applied,
+    ) == CEILING_PIN[name, port, per_round]

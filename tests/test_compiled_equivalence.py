@@ -169,6 +169,21 @@ def test_unknown_engine_rejected(fwd_port):
         fault_simulate(netlist, patterns, engine="jit")
 
 
+@pytest.mark.parametrize("engine", ("compiled", "interpreted"))
+@pytest.mark.parametrize("kernel", (fault_simulate, transition_fault_simulate))
+@pytest.mark.parametrize("unknown", ("past-end", "negative"))
+def test_observability_on_unknown_net_rejected(unknown, kernel, engine):
+    """Both kernels refuse a pattern set observing a net the netlist
+    does not have, under either engine (a negative net would otherwise
+    observe the last net under the compiled engine only)."""
+    netlist = random_netlist(5)
+    patterns = random_patterns(netlist, 5)
+    net = netlist.num_nets if unknown == "past-end" else -1
+    patterns.output_observability[net] = patterns.mask
+    with pytest.raises(FaultModelError, match="unknown net"):
+        kernel(netlist, patterns, engine=engine)
+
+
 # ----------------------------------------------------------------------
 # Seeded random netlists, truncated and full-cone observability.
 # ----------------------------------------------------------------------

@@ -5,12 +5,7 @@ import pytest
 from repro.core import cache_wrapped_builder, run_scenario
 from repro.core.determinism import Scenario, single_core_scenarios
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
-from repro.faults import (
-    coverage_range,
-    forwarding_coverage,
-    hdcu_coverage,
-    icu_coverage,
-)
+from repro.faults import coverage_range, module_coverage
 from repro.soc import CodeAlignment, CodePosition
 from repro.stl import RoutineContext
 from repro.stl.routines import make_forwarding_routine, make_interrupt_routine
@@ -51,12 +46,12 @@ def test_cached_forwarding_coverage_higher_and_stable(fwd_runs):
     plain_results, wrapped_results, _ = fwd_runs
     for core_id, model in MODELS.items():
         plain = [
-            forwarding_coverage(r.per_core[core_id].log, model)
+            module_coverage("FWD", r.per_core[core_id].log, model)
             for r in plain_results
             if core_id in r.per_core
         ]
         wrapped = [
-            forwarding_coverage(r.per_core[core_id].log, model)
+            module_coverage("FWD", r.per_core[core_id].log, model)
             for r in wrapped_results
             if core_id in r.per_core
         ]
@@ -70,7 +65,7 @@ def test_no_cache_coverage_oscillates(fwd_runs):
     oscillating = 0
     for core_id, model in MODELS.items():
         coverages = [
-            forwarding_coverage(r.per_core[core_id].log, model)
+            module_coverage("FWD", r.per_core[core_id].log, model)
             for r in plain_results
             if core_id in r.per_core
         ]
@@ -82,9 +77,9 @@ def test_no_cache_coverage_oscillates(fwd_runs):
 def test_single_core_below_cached(fwd_runs):
     _, wrapped_results, single = fwd_runs
     model = CORE_MODEL_A
-    single_cov = forwarding_coverage(single.per_core[0].log, model)
+    single_cov = module_coverage("FWD", single.per_core[0].log, model)
     cached = [
-        forwarding_coverage(r.per_core[0].log, model) for r in wrapped_results
+        module_coverage("FWD", r.per_core[0].log, model) for r in wrapped_results
     ]
     assert single_cov.coverage_percent < min(c.coverage_percent for c in cached)
 
@@ -95,7 +90,7 @@ def test_core_c_forwarding_coverage_lowest_cached(fwd_runs):
     by_core = {}
     for core_id, model in MODELS.items():
         values = [
-            forwarding_coverage(r.per_core[core_id].log, model).coverage_percent
+            module_coverage("FWD", r.per_core[core_id].log, model).coverage_percent
             for r in wrapped_results
             if core_id in r.per_core
         ]
@@ -111,8 +106,8 @@ def test_icu_coverage_higher_on_core_c():
     for core_id, model in MODELS.items():
         builder = {core_id: cache_wrapped_builder(make_interrupt_routine(model), ctxs[core_id])}
         run = run_scenario(builder, single_core_scenarios(core_id)[0])
-        results[model.name] = icu_coverage(
-            run.per_core[core_id].log, model
+        results[model.name] = module_coverage(
+            "ICU", run.per_core[core_id].log, model
         ).coverage_percent
     assert results["C"] > results["A"] + 2
     assert results["C"] > results["B"] + 2
@@ -127,8 +122,8 @@ def test_hdcu_stall_faults_need_performance_counters():
     scenario = single_core_scenarios(0)[0]
     with_pcs = run_scenario(builder, scenario, pcs_observable=True)
     without = run_scenario(builder, scenario, pcs_observable=False)
-    cov_with = hdcu_coverage(with_pcs.per_core[0].log, CORE_MODEL_A)
-    cov_without = hdcu_coverage(without.per_core[0].log, CORE_MODEL_A)
+    cov_with = module_coverage("HDCU", with_pcs.per_core[0].log, CORE_MODEL_A)
+    cov_without = module_coverage("HDCU", without.per_core[0].log, CORE_MODEL_A)
     assert cov_with.detected_faults > cov_without.detected_faults
 
 

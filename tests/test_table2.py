@@ -3,13 +3,13 @@
 ``table2_forwarding`` grades through
 :func:`repro.faults.run_parallel_checkpointed_campaign`; these tests
 compare its rows with ranges computed directly from ``run_scenario`` and
-``forwarding_coverage``, with no campaign in between.
+``module_coverage``, with no campaign in between.
 """
 
 from repro.analysis.experiments import MODELS, table2_forwarding
 from repro.core import cache_wrapped_builder, run_scenario
 from repro.core.determinism import Scenario, default_scenarios
-from repro.faults import coverage_range, forwarding_coverage
+from repro.faults import coverage_range, module_coverage
 from repro.soc import CodeAlignment, CodePosition
 from repro.stl import RoutineContext
 from repro.stl.routines import make_forwarding_routine
@@ -22,7 +22,7 @@ def direct_ranges(builders, scenarios):
         result = run_scenario(builders, scenario)
         for core_id in scenario.active_cores:
             per_core.setdefault(core_id, []).append(
-                forwarding_coverage(result.per_core[core_id].log, MODELS[core_id])
+                module_coverage("FWD", result.per_core[core_id].log, MODELS[core_id])
             )
     return {
         core_id: (coverages[0].total_faults, coverage_range(coverages))

@@ -127,7 +127,7 @@ def test_ordered_pattern_sets_preserve_sequence():
 def test_cached_beats_no_cache_for_delay_faults():
     from repro.core import build_cache_wrapped
     from repro.cpu.core import CORE_MODEL_A
-    from repro.faults import forwarding_transition_coverage
+    from repro.faults import module_coverage
     from repro.stl import RoutineContext
     from repro.stl.routines import make_forwarding_routine
     from tests.conftest import run_program
@@ -138,6 +138,6 @@ def test_cached_beats_no_cache_for_delay_faults():
     wrapped = build_cache_wrapped(routine, 0x1000, ctx)
     _, plain_core = run_program(plain, max_cycles=2_000_000)
     _, wrapped_core = run_program(wrapped, max_cycles=2_000_000)
-    plain_cov = forwarding_transition_coverage(plain_core.log, CORE_MODEL_A)
-    wrapped_cov = forwarding_transition_coverage(wrapped_core.log, CORE_MODEL_A)
+    plain_cov = module_coverage("FWD-TDF", plain_core.log, CORE_MODEL_A)
+    wrapped_cov = module_coverage("FWD-TDF", wrapped_core.log, CORE_MODEL_A)
     assert wrapped_cov.coverage_percent > plain_cov.coverage_percent
