@@ -9,12 +9,11 @@ deterministic under full 3-core contention.
 """
 
 from repro.core import build_cache_wrapped, split_routine
-from repro.core.determinism import Scenario, run_scenario
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
 from repro.cpu.recording import ActivationLog
 from repro.faults import module_coverage
 from repro.mem.cache import CacheConfig
-from repro.soc import CodeAlignment, CodePosition, Soc
+from repro.soc import Soc, SocConfig
 from repro.stl import RoutineContext
 from repro.stl.routines.forwarding import (
     forwarding_block_emitters,
@@ -26,13 +25,14 @@ CTX = RoutineContext.for_core(0, CORE_MODEL_A)
 SIZES = (2 << 10, 4 << 10, 8 << 10, 16 << 10)
 
 
-def _run_part(program):
-    """Run one wrapped part on core 0 under 3-core contention."""
+def _run_part(program, icache):
+    """Run one wrapped part on core 0 under 3-core contention, on a SoC
+    whose I-caches have the ``icache`` geometry the part was split for."""
     from repro.core import cache_wrapped_builder
     from repro.stl.routines import make_forwarding_routine
 
     noise_models = {1: CORE_MODEL_B, 2: CORE_MODEL_C}
-    soc = Soc()
+    soc = Soc(SocConfig(icache=icache))
     soc.load(program)
     for core_id, model in noise_models.items():
         noise = cache_wrapped_builder(
@@ -61,7 +61,7 @@ def sweep_cache_sizes():
         for part in parts:
             program = build_cache_wrapped(part, 0x1000, CTX)
             max_part_bytes = max(max_part_bytes, program.size_bytes)
-            log = _run_part(program)
+            log = _run_part(program, icache)
             combined.forwarding.extend(log.forwarding)
         coverage = module_coverage("FWD", combined, CORE_MODEL_A)
         results.append((size, len(parts), max_part_bytes, coverage))

@@ -34,7 +34,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.generators import get_modules
 from repro.faults.orchestrator import run_parallel_checkpointed_campaign
-from repro.isa.instructions import Csr, Instruction, Mnemonic
+from repro.isa.instructions import Instruction, Mnemonic
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
 from repro.soc.debugger import StallMonitor, StallReport
 from repro.soc.loader import CodeAlignment, CodePosition, placement_address

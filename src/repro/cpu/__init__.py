@@ -12,7 +12,7 @@ from repro.cpu.core import (
 )
 from repro.cpu.fetch import FetchUnit
 from repro.cpu.forwarding import Resolution, resolve_register
-from repro.cpu.hazard import can_dual_issue, unresolved_producer
+from repro.cpu.hazard import can_dual_issue
 from repro.cpu.icu import Icu, IcuConfig, IcuRecognition
 from repro.cpu.injection import DataBitFault, SelectFault, clear, install
 from repro.cpu.memunit import MemoryUnit
@@ -43,7 +43,6 @@ __all__ = [
     "Resolution",
     "resolve_register",
     "can_dual_issue",
-    "unresolved_producer",
     "Icu",
     "IcuConfig",
     "IcuRecognition",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.cpu.alu import branch_taken, execute_alu, execute_alu64, execute_imm
 from repro.cpu.fetch import FetchUnit
 from repro.cpu.forwarding import LatchView, Resolution
-from repro.cpu.hazard import can_dual_issue, unresolved_producer
+from repro.cpu.hazard import can_dual_issue
 from repro.cpu.icu import Icu, IcuConfig
 from repro.cpu.memunit import MemoryUnit
 from repro.cpu.recording import (
@@ -141,7 +141,7 @@ class Core:
 
     def reset(self, pc: int) -> None:
         """Point the core at ``pc`` and mark it runnable."""
-        self.fetch.reset(pc)
+        self.fetch.redirect(pc)
         self.halted = False
         self.started = True
         telemetry = self.telemetry
@@ -157,17 +157,33 @@ class Core:
         """Forcibly restart at ``pc``, abandoning all in-flight work.
 
         Used by the test supervisor to re-enter a routine after a
-        watchdog trip: pipeline latches are flushed and the memory unit
-        cancels its access, but caches, TCMs and counters keep their
-        state — re-convergence is the wrapper's job (it invalidates and
-        re-warms the caches itself).
+        watchdog trip: the pipeline is flushed (see :meth:`_flush`), but
+        caches, TCMs and counters keep their state — re-convergence is
+        the wrapper's job (it invalidates and re-warms the caches
+        itself).
         """
+        self._flush()
+        self._set_testwin(0)
+        self.reset(pc)  # The redirect also clears the starved marker.
+
+    def park(self, pc: int) -> None:
+        """Flush the pipeline, point fetch at ``pc`` and halt.
+
+        Used by the test supervisor to keep a quarantined routine's core
+        off the bus for the rest of the session; the redirect drops any
+        in-flight fetch and clears the starved marker.
+        """
+        self._flush()
+        self.fetch.redirect(pc)
+        self.halted = True
+
+    def _flush(self) -> None:
+        """Abandon all in-flight work: the pipeline latches are emptied
+        and the memory unit cancels its access."""
         self.exmem_latch = []
         self.memwb_latch = []
         self.retire_latch = []
         self.memunit.cancel()
-        self._set_testwin(0)
-        self.reset(pc)  # The redirect also clears the starved marker.
 
     @property
     def done(self) -> bool:
@@ -296,8 +312,13 @@ class Core:
             # The front end starved the issue stage: an IF stall.
             self.ifstall += 1
             return
+        # One latch scan serves the stall check and both slots (see
+        # LatchView).  r0 is never a destination, so a blocked register
+        # of 0 means nothing is blocked.
+        view = LatchView(self.memwb_latch, self.retire_latch, self.regfile)
         pc0, i0 = queue[0]
-        if unresolved_producer(i0, self.memwb_latch):
+        blocked = view.blocked_register(i0.source_regs())
+        if blocked:
             # Load-use (producer load in the EX/MEM latch) with the
             # access itself on its fast path: a true HDCU stall.  A load
             # still waiting on the bus shows up as MEM stall cycles via
@@ -305,19 +326,17 @@ class Core:
             if not self.memunit.waiting_on_bus:
                 self.hazstall += 1
                 if self.recording:
-                    self._record_hdcu_stall(i0)
+                    self._record_hdcu_stall(view, blocked)
             return
         if i0.mnemonic is Mnemonic.SYNC and not self._sync_ready():
             self.hazstall += 1
             return
-        # One latch scan serves both slots (see LatchView).
-        view = LatchView(self.memwb_latch, self.retire_latch, self.regfile)
         queue.pop(0)
         self.exmem_latch.append(self._issue_one(i0, pc0, 0, cycle, view))
         if queue:
             pc1, i1 = queue[0]
-            if can_dual_issue(i0, i1) and not unresolved_producer(
-                i1, self.memwb_latch
+            if can_dual_issue(i0, i1) and not view.blocked_register(
+                i1.source_regs()
             ):
                 queue.pop(0)
                 self.exmem_latch.append(self._issue_one(i1, pc1, 1, cycle, view))
@@ -417,7 +436,7 @@ class Core:
     ) -> int:
         res = view.resolve(reg)
         value, select, ready, candidates, valid_mask = res
-        if not ready:  # pragma: no cover - guarded by unresolved_producer
+        if not ready:  # pragma: no cover - guarded by the issue stall check
             raise SimulationError(f"issued {uop.instr} with unresolved r{reg}")
         uop.fwd_selects.append(select)
         if self.recording:
@@ -425,7 +444,10 @@ class Core:
                 view, reg, select, candidates, valid_mask, slot, operand, 32
             )
         if self.injected_fault is not None:
-            return self._apply_injection(slot, operand, res)
+            # Only the value delivered to execution changes; the record
+            # keeps the fault-free view (fault grading always runs against
+            # the fault-free logic simulation, as in the paper's flow).
+            return self.injected_fault.apply(slot, operand, Resolution(*res))
         return value
 
     def _resolve_wide(
@@ -444,19 +466,6 @@ class Core:
                 view, reg, select, candidates, valid_mask, slot, operand, 64
             )
         return low | (high << 32)
-
-    def _apply_injection(self, slot: int, operand: int, res: tuple) -> int:
-        """Corrupt the resolved operand according to the armed fault.
-
-        Only the value delivered to execution changes; the activation
-        record keeps the fault-free view (fault grading always runs
-        against the fault-free logic simulation, as in the paper's flow).
-        """
-        fault = self.injected_fault
-        resolution = Resolution(*res)
-        if hasattr(fault, "apply_resolution"):
-            return fault.apply_resolution(slot, operand, resolution)
-        return fault.apply(slot, operand, resolution.select, resolution.value)
 
     def _record(
         self,
@@ -506,15 +515,14 @@ class Core:
             )
         )
 
-    def _record_hdcu_stall(self, instr: Instruction) -> None:
+    def _record_hdcu_stall(self, view: LatchView, blocked: int) -> None:
         # Record the register that is actually blocked (the one produced
         # by the unready load), so the netlist's comparators match.
-        view = LatchView(self.memwb_latch, self.retire_latch, self.regfile)
         producer_regs, producer_valid, producer_load_mask = view.summary
         observable = bool(self.testwin & 1)
         self.log.hdcu.append(
             HdcuRecord(
-                view.blocked_register(instr.source_regs()),
+                blocked,
                 producer_regs,
                 producer_valid,
                 FwdSource.RF,

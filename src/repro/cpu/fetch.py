@@ -24,14 +24,13 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from repro.errors import BusError, MemoryError_
+from repro.errors import MemoryError_
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instruction
 from repro.mem.bus import SystemBus, Transaction, TxnKind
 from repro.mem.cache import Cache
 from repro.mem.memmap import MemoryMap, is_cacheable
 from repro.mem.tcm import Tcm
-from repro.telemetry.events import NULL_SINK, EventKind
 
 
 @lru_cache(maxsize=65536)
@@ -47,8 +46,6 @@ class FetchUnit:
     UNCACHED_GROUP_BYTES = 16
     #: Outstanding uncached bursts (the prefetch stream depth).
     UNCACHED_PIPELINE = 2
-    #: Bounded re-submissions of a fetch that got a bus error response.
-    BUS_RETRY_LIMIT = 3
 
     def __init__(
         self,
@@ -73,16 +70,10 @@ class FetchUnit:
         #: from :meth:`blocked_on`): until it is done, the core's cycles
         #: are pure IF stalls.  A redirect clears it.
         self.starved_on: Transaction | None = None
-        #: Telemetry sink (no-op unless a TelemetrySession is attached).
-        self.telemetry = NULL_SINK
 
     # ------------------------------------------------------------------
     # Control.
     # ------------------------------------------------------------------
-
-    def reset(self, pc: int) -> None:
-        """Point the fetch unit at ``pc`` and clear all buffered state."""
-        self.redirect(pc)
 
     def redirect(self, pc: int) -> None:
         """Branch redirect: flush the queue, drop any in-flight fetches."""
@@ -144,27 +135,9 @@ class FetchUnit:
             if discard:
                 continue
             if txn.error:
-                # Retriable bus error response: re-submit the same fetch
-                # at the head of the stream so program order holds, up
-                # to the bounded retry budget.
-                if txn.retries >= self.BUS_RETRY_LIMIT:
-                    raise BusError(
-                        "instruction fetch failed",
-                        core_id=self.core_id,
-                        address=txn.address,
-                        kind="ifetch",
-                        retries=txn.retries,
-                    )
-                retry = self.bus.submit(txn.retry_clone(), cycle)
-                telemetry = self.telemetry
-                if telemetry.enabled:
-                    telemetry.emit(
-                        EventKind.BUS_RETRY,
-                        core=self.core_id,
-                        kind=txn.kind.value,
-                        address=txn.address,
-                        attempt=retry.retries,
-                    )
+                # Retriable bus error response: the retry goes back at
+                # the head of the stream so program order holds.
+                retry = self.bus.resubmit(txn, cycle)
                 self._inflight.appendleft([retry, pc, is_fill, False])
                 return
             if is_fill:

@@ -198,7 +198,10 @@ class LatchView:
 
     def blocked_register(self, regs: tuple[int, ...]) -> int:
         """The last of ``regs`` that a producer without data still owes
-        (0 when none is blocked): the register an HDCU stall records."""
+        (0 when none is blocked, since r0 is never a destination).
+
+        Issue stalls on a nonzero answer for either slot, and an HDCU
+        stall records that register."""
         blocked = 0
         for reg in regs:
             for _, producer in self.producers.get(reg, ()):

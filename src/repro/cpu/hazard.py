@@ -5,9 +5,12 @@ forwarding paths and possibly stalls the pipeline if the forwarding is
 not possible" (Section IV-A).  In this model it decides, every cycle:
 
 * whether the two queue-head instructions may form a dual-issue packet
-  (structural rules of the dual-issue front end), and
+  (structural rules of the dual-issue front end, :func:`can_dual_issue`),
+  and
 * whether issue must stall because a needed value cannot be forwarded
-  yet (load-use hazard).
+  yet (load-use hazard): the issue stage asks the cycle's
+  :class:`repro.cpu.forwarding.LatchView` for the blocked register, the
+  same view every operand of the packet resolves from.
 
 Wrongly inserted stalls are the failure mode the performance counters
 are meant to catch, which is why the full forwarding test of Bernardi
@@ -17,7 +20,6 @@ et al. [19] folds the stall counters into the signature.
 from __future__ import annotations
 
 from repro.isa.instructions import Instruction
-from repro.cpu.uop import Uop
 
 
 def can_dual_issue(first: Instruction, second: Instruction) -> bool:
@@ -45,22 +47,3 @@ def can_dual_issue(first: Instruction, second: Instruction) -> bool:
             return False
     return True
 
-
-def unresolved_producer(instr: Instruction, *latches: list[Uop]) -> bool:
-    """True when a needed producer has no result yet.
-
-    This covers the classic load-use hazard (a load one packet ahead
-    whose data arrives at the end of MEM) and loads still waiting on the
-    bus: in both cases the HDCU must stall issue because forwarding is
-    not possible yet.
-    """
-    sources = instr.source_regs()
-    if not sources:
-        return False
-    for latch in latches:
-        for uop in latch:
-            if not uop.result_ready:
-                for reg in uop.dests:
-                    if reg in sources:
-                        return True
-    return False

@@ -25,7 +25,7 @@ one-hot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.instructions import NUM_EVENTS, Event
 

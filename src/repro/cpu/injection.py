@@ -12,12 +12,17 @@ The injectable faults correspond one-to-one to primary-input stem
 faults of the generated mux netlists (data column x bit, or a forced
 select), so in-field detection can be cross-checked against the PPSFP
 verdict for the same fault — which the test suite does.
+
+Every fault answers one call, ``apply(slot, operand, resolution)``: the
+core hands it the fault-free :class:`Resolution` of each 32-bit operand
+it resolves and executes with the value it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cpu.forwarding import Resolution
 from repro.cpu.recording import FwdSource
 
 
@@ -36,10 +41,11 @@ class DataBitFault:
     bit: int
     stuck_to: int  # 0 or 1
 
-    def apply(self, slot: int, operand: int, select: FwdSource, value: int) -> int:
+    def apply(self, slot: int, operand: int, resolution: Resolution) -> int:
+        value = resolution.value
         if (slot, operand) != (self.slot, self.operand):
             return value
-        if select != self.source:
+        if resolution.select != self.source:
             return value
         if self.stuck_to:
             return value | (1 << self.bit)
@@ -58,7 +64,7 @@ class SelectFault:
     operand: int
     forced: FwdSource
 
-    def apply_resolution(self, slot: int, operand: int, resolution) -> int:
+    def apply(self, slot: int, operand: int, resolution: Resolution) -> int:
         if (slot, operand) != (self.slot, self.operand):
             return resolution.value
         return resolution.candidates[int(self.forced)]

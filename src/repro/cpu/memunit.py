@@ -15,7 +15,7 @@ methodology requires a dummy load after each store (Section III.1).
 
 from __future__ import annotations
 
-from repro.errors import BusError, SimulationError
+from repro.errors import SimulationError
 from repro.cpu.uop import Uop
 from repro.mem.bus import SystemBus, Transaction, TxnKind
 from repro.mem.cache import Cache, FillPlan
@@ -26,9 +26,6 @@ from repro.telemetry.events import NULL_SINK, EventKind
 
 class MemoryUnit:
     """Per-core load/store sequencer."""
-
-    #: Bounded re-submissions of an access that got a bus error response.
-    BUS_RETRY_LIMIT = 3
 
     def __init__(
         self,
@@ -222,27 +219,8 @@ class MemoryUnit:
         if txn is None or not txn.done:
             return False
         if txn.error:
-            # Retriable bus error response: re-submit the same access in
-            # the same phase, up to the bounded retry budget.
-            if txn.retries >= self.BUS_RETRY_LIMIT:
-                kind = "write" if txn.is_write else "read"
-                raise BusError(
-                    "data access failed",
-                    core_id=self.core_id,
-                    address=txn.address,
-                    kind=kind,
-                    retries=txn.retries,
-                )
-            self._txn = self.bus.submit(txn.retry_clone(), cycle)
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.emit(
-                    EventKind.BUS_RETRY,
-                    core=self.core_id,
-                    kind=txn.kind.value,
-                    address=txn.address,
-                    attempt=self._txn.retries,
-                )
+            # Retriable bus error response: retry in the same phase.
+            self._txn = self.bus.resubmit(txn, cycle)
             return False
         if self._phase == "writeback":
             self._txn = None
@@ -268,6 +246,5 @@ class MemoryUnit:
     def _complete(self, uop: Uop) -> None:
         if uop.is_load:
             uop.result_ready = True
-        uop.mem_done = True
         self._uop = None
         self._phase = None

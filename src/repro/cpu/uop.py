@@ -34,10 +34,7 @@ class Uop:
     mem_address: int = 0
     mem_width: int = 4
     store_value: int = 0
-    mem_started: bool = False
-    mem_done: bool = False
     # Trace timestamps (cycle numbers; -1 = not reached).
-    fetch_cycle: int = -1
     issue_cycle: int = -1
     mem_cycle: int = -1
     wb_cycle: int = -1

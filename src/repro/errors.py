@@ -47,9 +47,10 @@ class SimulationError(ReproError):
 class BusError(SimulationError):
     """A bus transaction completed with an error response.
 
-    Raised by the fetch/memory units once the bounded retry budget for a
-    retriable error response (a transient glitch on the interconnect) is
-    exhausted.  Carries enough context to localise the failing master.
+    Raised by :meth:`repro.mem.bus.SystemBus.resubmit` once the bounded
+    retry budget for a retriable error response (a transient glitch on
+    the interconnect) is exhausted.  Carries enough context to localise
+    the failing master.
     """
 
     def __init__(

@@ -215,8 +215,9 @@ class BusGlitcher:
 class AlwaysGlitch:
     """A worst-case glitcher: every matching completion errors out.
 
-    Used to exercise the retry-exhaustion path: the issuing unit burns
-    its whole retry budget and raises :class:`repro.errors.BusError`.
+    Used to exercise the retry-exhaustion path: every access burns the
+    bus's whole retry budget and :meth:`repro.mem.bus.SystemBus.resubmit`
+    raises :class:`repro.errors.BusError`.
     """
 
     def __init__(self, target_core: int | None = None):

@@ -26,7 +26,6 @@ DEFAULT_CAMPAIGN_MODELS: dict[int, CoreModel] = {
 def forwarding_builders(
     patterns_per_path: int | None = None,
     load_use_blocks: int | None = None,
-    models: dict[int, CoreModel] | None = None,
 ):
     """Cache-wrapped forwarding-routine builders for each core.
 
@@ -46,7 +45,7 @@ def forwarding_builders(
     if load_use_blocks is not None:
         kwargs["load_use_blocks"] = load_use_blocks
     builders = {}
-    for core_id, model in (models or DEFAULT_CAMPAIGN_MODELS).items():
+    for core_id, model in DEFAULT_CAMPAIGN_MODELS.items():
         ctx = RoutineContext.for_core(core_id, model)
         routine = make_forwarding_routine(model, **kwargs)
         builders[core_id] = cache_wrapped_builder(routine, ctx)

@@ -10,17 +10,30 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields, replace
 
-from repro.errors import MemoryError_
+from repro.errors import BusError, MemoryError_
 from repro.mem.memmap import MemoryMap
 from repro.telemetry.events import NULL_SINK, EventKind
 
 
 class TxnKind(enum.Enum):
-    """What a bus transaction is for (used for statistics only)."""
+    """What a bus transaction is for (statistics, and the kind of a
+    :class:`BusError`)."""
 
     IFETCH = "ifetch"
     DREAD = "dread"
     DWRITE = "dwrite"
+
+
+#: Re-submissions of one logical access after error responses, beyond
+#: which :meth:`SystemBus.resubmit` gives up.
+RETRY_LIMIT = 3
+
+#: ``BusError`` message and kind of an access that ran out of retries.
+_RETRY_FAILURE = {
+    TxnKind.IFETCH: ("instruction fetch failed", "ifetch"),
+    TxnKind.DREAD: ("data access failed", "read"),
+    TxnKind.DWRITE: ("data access failed", "write"),
+}
 
 
 @dataclass
@@ -44,7 +57,7 @@ class Transaction:
     #: Completed with a (retriable) error response instead of data.
     error: bool = False
     #: How many times this logical access has been re-submitted after an
-    #: error response (carried across retries by the issuing unit).
+    #: error response (carried across retries by :meth:`retry_clone`).
     retries: int = 0
     data: list[int] = field(default_factory=list)
 
@@ -93,8 +106,8 @@ class SystemBus:
     An optional *glitcher* (see :mod:`repro.faults.soft_errors`) models
     transient interconnect disturbances: it may stretch a grant by a few
     cycles (a delayed grant) or turn a completion into a retriable error
-    response, which the issuing fetch/memory unit re-submits up to its
-    bounded retry budget.
+    response, which the issuing fetch/memory unit hands back to
+    :meth:`resubmit`, the one bounded-retry rule.
     """
 
     def __init__(self, memmap: MemoryMap, num_cores: int):
@@ -130,6 +143,35 @@ class SystemBus:
                 retries=txn.retries,
             )
         return txn
+
+    def resubmit(self, txn: Transaction, cycle: int) -> Transaction:
+        """Queue one more attempt of ``txn``, which completed with an
+        error response, and return it.
+
+        Raises :class:`BusError` once the access has been re-submitted
+        :data:`RETRY_LIMIT` times.  The issuing unit keeps its place in
+        program order by waiting on the returned transaction.
+        """
+        if txn.retries >= RETRY_LIMIT:
+            message, kind = _RETRY_FAILURE[txn.kind]
+            raise BusError(
+                message,
+                core_id=txn.core_id,
+                address=txn.address,
+                kind=kind,
+                retries=txn.retries,
+            )
+        retry = self.submit(txn.retry_clone(), cycle)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.emit(
+                EventKind.BUS_RETRY,
+                core=txn.core_id,
+                kind=txn.kind.value,
+                address=txn.address,
+                attempt=retry.retries,
+            )
+        return retry
 
     @property
     def idle(self) -> bool:

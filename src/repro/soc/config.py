@@ -10,7 +10,7 @@ bus to embedded flash (8-cycle array access) and system SRAM, running at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cpu.core import (
     CORE_MODEL_A,

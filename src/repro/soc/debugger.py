@@ -29,19 +29,6 @@ class CoreStallReport:
     #: (read off the bus-side per-master counters, still non-intrusive).
     bus_wait_cycles: int = 0
 
-    def delta(self, since: "CoreStallReport") -> "CoreStallReport":
-        """Counters accumulated strictly after ``since`` was taken."""
-        return CoreStallReport(
-            core_id=self.core_id,
-            model=self.model,
-            cycles=self.cycles - since.cycles,
-            instret=self.instret - since.instret,
-            if_stalls=self.if_stalls - since.if_stalls,
-            mem_stalls=self.mem_stalls - since.mem_stalls,
-            hazard_stalls=self.hazard_stalls - since.hazard_stalls,
-            bus_wait_cycles=self.bus_wait_cycles - since.bus_wait_cycles,
-        )
-
 
 @dataclass(frozen=True)
 class StallReport:
@@ -65,19 +52,6 @@ class StallReport:
     @property
     def total_bus_wait_cycles(self) -> int:
         return sum(core.bus_wait_cycles for core in self.per_core)
-
-    def delta(self, since: "StallReport") -> "StallReport":
-        """Per-core interval figures between two snapshots of one SoC.
-
-        Cores are matched by id; a core that appears only in the newer
-        snapshot contributes its full counters.
-        """
-        base = {core.core_id: core for core in since.per_core}
-        per_core = tuple(
-            core.delta(base[core.core_id]) if core.core_id in base else core
-            for core in self.per_core
-        )
-        return StallReport(active_cores=self.active_cores, per_core=per_core)
 
 
 class StallMonitor:

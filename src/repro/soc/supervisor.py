@@ -315,18 +315,11 @@ class TestSupervisor:
     def _silence_core(self, spec: RoutineSpec) -> None:
         """Park a quarantined routine's core so the session can go on.
 
-        After a watchdog trip the core may still be spinning; a hard
-        reset into a halted state keeps it off the bus for the rest of
-        the session.
+        After a watchdog trip the core may still be spinning; parking it
+        (a flush into a halted state) keeps it off the bus for the rest
+        of the session.
         """
-        core = self.soc.cores[spec.core_id]
-        core.exmem_latch = []
-        core.memwb_latch = []
-        core.retire_latch = []
-        core.memunit.cancel()
-        core.fetch.redirect(spec.entry_point)
-        core.fetch.queue.clear()
-        core.halted = True
+        self.soc.cores[spec.core_id].park(spec.entry_point)
 
     def run_session(self, specs: list[RoutineSpec]) -> RecoveryReport:
         """Supervise a whole boot-time session; never raises mid-campaign.

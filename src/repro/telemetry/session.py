@@ -58,7 +58,6 @@ class TelemetrySession:
         keep_events: bool = True,
         drop_kinds=DEFAULT_DROP_KINDS,
         capacity: int | None = None,
-        extra_subscribers=(),
     ) -> "TelemetrySession":
         """Instrument ``soc`` and return the live session.
 
@@ -71,7 +70,7 @@ class TelemetrySession:
         auditor = DeterminismAuditor()
         sink = RecordingSink(
             clock=lambda: soc.cycle,
-            subscribers=(metrics, auditor, *extra_subscribers),
+            subscribers=(metrics, auditor),
             keep_events=keep_events,
             drop_kinds=drop_kinds,
             capacity=capacity,
@@ -86,7 +85,6 @@ class TelemetrySession:
         self._set(soc.bus, sink)
         for core in soc.cores:
             self._set(core, sink)
-            self._set(core.fetch, sink)
             self._set(core.memunit, sink)
             for cache in (core.icache, core.dcache):
                 cache.telemetry_core = core.core_id

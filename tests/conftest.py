@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa import AsmBuilder, Program, assemble
-from repro.soc import Soc, SocConfig
+from repro.isa import Program, assemble
+from repro.soc import Soc
 
 
 @pytest.fixture

@@ -148,6 +148,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "slot-1 load-use check dropped",
+        "src/repro/cpu/core.py",
+        "            if can_dual_issue(i0, i1) and not view.blocked_register(\n"
+        "                i1.source_regs()\n"
+        "            ):\n",
+        "            if can_dual_issue(i0, i1):\n",
+        (
+            "tests/test_core_forwarding_paths.py"
+            "::test_load_use_splits_a_packet_at_slot_1",
+        ),
+    ),
+    Mutant(
+        "parked core not halted",
+        "src/repro/cpu/core.py",
+        "        self.fetch.redirect(pc)\n        self.halted = True\n",
+        "        self.fetch.redirect(pc)\n",
+        (
+            "tests/test_supervisor.py"
+            "::test_hung_routine_is_quarantined_after_the_retry_budget",
+            "tests/test_supervisor.py"
+            "::test_session_continues_past_a_quarantined_routine",
+        ),
+    ),
+    Mutant(
+        "bus retry budget off by one",
+        "src/repro/mem/bus.py",
+        "        if txn.retries >= RETRY_LIMIT:\n",
+        "        if txn.retries > RETRY_LIMIT:\n",
+        (
+            "tests/test_soft_errors.py::test_retry_exhaustion_raises_bus_error",
+            "tests/test_soft_errors.py::test_data_retry_exhaustion_raises_bus_error",
+        ),
+    ),
+    Mutant(
         "failed checkpoint write keeps the new outcome in memory",
         "src/repro/faults/campaign.py",
         "                self.outcomes.pop(outcome.label, None)\n",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.isa import AsmBuilder, assemble
 from repro.isa.encoding import IMM10_MAX, IMM10_MIN, IMM15_MAX, IMM15_MIN
-from repro.isa.instructions import Instruction, Mnemonic
+from repro.isa.instructions import Mnemonic
 from repro.utils.bitops import MASK32
 
 regs = st.integers(min_value=0, max_value=31)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AssemblyError
 from repro.isa.builder import AsmBuilder
-from repro.isa.instructions import Csr, Instruction, Mnemonic
+from repro.isa.instructions import Csr, Mnemonic
 from repro.utils.bitops import to_unsigned
 
 

@@ -1,7 +1,5 @@
 """Tests of the cache-based deterministic execution wrapper (Fig. 2b)."""
 
-import pytest
-
 from repro.core import (
     CacheWrapperOptions,
     build_cache_wrapped,
@@ -10,7 +8,6 @@ from repro.core import (
 from repro.cpu.core import CORE_MODEL_A
 from repro.isa.instructions import Mnemonic
 from repro.stl import RoutineContext
-from repro.stl.conventions import SIG_REG
 from repro.stl.routines import make_forwarding_routine
 from tests.conftest import run_program
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionLimitExceeded, SimulationError
-from repro.isa import AsmBuilder, Csr, Mnemonic
+from repro.isa import AsmBuilder, Mnemonic
 from repro.isa.instructions import Instruction
 from repro.soc import Soc
 from tests.conftest import run_program

@@ -123,6 +123,30 @@ def test_load_use_creates_stall_then_mem_forward():
     )
 
 
+def test_load_use_splits_a_packet_at_slot_1():
+    """A slot-1 consumer of a load whose data has not returned cannot
+    pair: slot 0 issues alone and the consumer follows next cycle from
+    slot 0, reading the load's data over the MEM0 path."""
+
+    def build(asm):
+        asm.li(3, 0x0500_0000)  # D-TCM
+        asm.li(5, 0xBEEF)
+        asm.sw(5, 0, 3)
+        asm.align()
+        asm.packet(Instruction(Mnemonic.LW, rd=7, rs1=3, imm=0))
+        asm.packet(
+            Instruction(Mnemonic.ADD, rd=10, rs1=0, rs2=0),
+            Instruction(Mnemonic.XOR, rd=9, rs1=7, rs2=0),
+        )
+
+    core = run_from_tcm(build)
+    assert core.regfile.read(9) == 0xBEEF
+    reads_of_r7 = [
+        (r.slot, r.select, r.stall) for r in core.log.hdcu if r.consumer_reg == 7
+    ]
+    assert reads_of_r7 == [(0, FwdSource.MEM0, False)]
+
+
 def test_stale_value_visible_as_rf_candidate():
     """While the producer is in flight, the RF candidate still holds the
     stale value — the very bit-difference mux faults are graded on."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import build_cache_wrapped
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
-from repro.faults.generators import PORTS, get_modules
+from repro.faults.generators import get_modules
 from repro.faults.observability import (
     forwarding_pattern_sets,
     hdcu_pattern_sets,

@@ -1,7 +1,5 @@
 """Tests of golden-signature derivation and the determinism campaign."""
 
-import pytest
-
 from repro.core import (
     cache_wrapped_builder,
     default_scenarios,

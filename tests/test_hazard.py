@@ -1,6 +1,8 @@
-"""Tests of the dual-issue pairing rules and hazard predicates."""
+"""Tests of the dual-issue pairing rules and the load-use stall check."""
 
-from repro.cpu.hazard import can_dual_issue, unresolved_producer
+from repro.cpu.forwarding import LatchView
+from repro.cpu.hazard import can_dual_issue
+from repro.cpu.state import RegFile
 from repro.cpu.uop import Uop
 from repro.isa.instructions import Instruction, Mnemonic
 
@@ -63,13 +65,17 @@ def test_64bit_pair_dependency_detected_via_high_half():
     assert not can_dual_issue(first, second)
 
 
-def test_unresolved_producer_detects_pending_load():
+def test_latch_view_blocks_on_pending_load():
     load = Uop(
         seq=1, pc=0, instr=ins(Mnemonic.LW, 5, 2), slot=0, dests=(5,),
         result=None, result_ready=False, is_load=True,
     )
+    view = LatchView([load], [], RegFile())
     consumer = ins(Mnemonic.ADD, 6, 5, 7)
     other = ins(Mnemonic.ADD, 6, 8, 7)
-    assert unresolved_producer(consumer, [load])
-    assert not unresolved_producer(other, [load])
-    assert not unresolved_producer(ins(Mnemonic.NOP), [load])
+    assert view.blocked_register(consumer.source_regs()) == 5
+    assert view.blocked_register(other.source_regs()) == 0
+    assert view.blocked_register(ins(Mnemonic.NOP).source_regs()) == 0
+    load.result = 0x1234
+    load.result_ready = True
+    assert view.blocked_register(consumer.source_regs()) == 0

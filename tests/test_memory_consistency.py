@@ -18,7 +18,6 @@ from repro.isa.instructions import (
     Csr,
 )
 from repro.soc import Soc
-from repro.stl.signature import signature_of
 from repro.utils.bitops import MASK32
 
 BASE = 0x2000_0000

@@ -5,7 +5,7 @@ import pytest
 from repro.core import golden_signature
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C, ICACHE_CONFIG
 from repro.stl import RoutineContext, build_library
-from repro.stl.conventions import RESULT_PASS, SIG_REG
+from repro.stl.conventions import RESULT_PASS
 from repro.stl.routines import (
     make_background_routines,
     make_forwarding_routine,

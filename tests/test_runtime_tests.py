@@ -6,7 +6,6 @@ from repro.core import golden_signature
 from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
 from repro.soc import Soc
 from repro.stl import RoutineContext
-from repro.stl.conventions import RESULT_PASS
 from repro.stl.routines import make_background_routines, make_forwarding_routine
 from repro.stl.runtime import (
     build_runtime_session,

@@ -215,8 +215,39 @@ def test_retry_exhaustion_raises_bus_error():
     err = excinfo.value
     assert isinstance(err, ReproError)
     assert err.core_id == 0
-    assert err.retries >= 3
+    assert err.kind == "ifetch"
+    assert err.retries == 3
     assert "core 0" in str(err)
+
+
+@pytest.mark.parametrize(
+    "store, kind", [(False, "read"), (True, "write")], ids=["load", "store"]
+)
+def test_data_retry_exhaustion_raises_bus_error(store, kind):
+    """Code in the I-TCM never touches the bus, so the first transaction
+    to fail is the data access itself."""
+    soc = Soc()
+    core = soc.cores[0]
+    asm = AsmBuilder(core.itcm.base)
+    asm.li(5, scratch_base(0))
+    if store:
+        asm.sw(0, 0, 5)
+    else:
+        asm.lw(1, 0, 5)
+    asm.halt()
+    program = asm.build()
+    for address, word in program.image().items():
+        core.itcm.write_word(address, word)
+    soc.bus.glitcher = AlwaysGlitch()
+    soc.start_core(0, program.base_address)
+    with pytest.raises(BusError) as excinfo:
+        soc.run(max_cycles=10_000)
+    err = excinfo.value
+    assert err.core_id == 0
+    assert err.kind == kind
+    assert err.address == scratch_base(0)
+    assert err.retries == 3
+    assert soc.bus.stats[0].error_responses == 4
 
 
 def test_always_glitch_targets_one_core_only():

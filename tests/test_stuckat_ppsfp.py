@@ -8,7 +8,6 @@ from repro.faults.gates import GateKind, eval_gate
 from repro.faults.netlist import Netlist
 from repro.faults.ppsfp import PatternSet, fault_simulate, good_simulation
 from repro.faults.stuckat import (
-    StuckAtFault,
     collapse_faults,
     collapse_with_weights,
     enumerate_faults,

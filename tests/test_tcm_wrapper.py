@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import build_tcm_wrapped, finalise_with_expected
+from repro.core import build_tcm_wrapped
 from repro.cpu.core import CORE_MODEL_A
 from repro.errors import ValidationError
 from repro.soc import Soc
