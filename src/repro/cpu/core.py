@@ -50,7 +50,7 @@ from repro.isa.instructions import (
 )
 from repro.mem.bus import SystemBus, Transaction
 from repro.mem.cache import Cache, CacheConfig
-from repro.mem.memmap import MemoryMap, dtcm_base, itcm_base
+from repro.mem.memmap import dtcm_base, itcm_base
 from repro.mem.tcm import Tcm
 from repro.telemetry.events import NULL_SINK, EventKind
 from repro.utils.bitops import MASK32
@@ -92,7 +92,6 @@ class Core:
         core_id: int,
         model: CoreModel,
         bus: SystemBus,
-        memmap: MemoryMap,
         icache_config: CacheConfig = ICACHE_CONFIG,
         dcache_config: CacheConfig = DCACHE_CONFIG,
         tcm_size: int = 16 << 10,
@@ -100,15 +99,12 @@ class Core:
         self.core_id = core_id
         self.model = model
         self.bus = bus
-        self.memmap = memmap
         self.icache = Cache(icache_config)
         self.dcache = Cache(dcache_config)
         self.itcm = Tcm(f"itcm{core_id}", itcm_base(core_id), tcm_size)
         self.dtcm = Tcm(f"dtcm{core_id}", dtcm_base(core_id), tcm_size)
-        self.fetch = FetchUnit(core_id, bus, memmap, self.icache, self.itcm)
-        self.memunit = MemoryUnit(
-            core_id, bus, memmap, self.dcache, self.itcm, self.dtcm
-        )
+        self.fetch = FetchUnit(core_id, bus, self.icache, self.itcm)
+        self.memunit = MemoryUnit(core_id, bus, self.dcache, self.itcm, self.dtcm)
         self.regfile = RegFile()
         self.icu = Icu(IcuConfig(shared_status_bits=model.icu_shared_status_bits))
         self.log = ActivationLog()
@@ -458,14 +454,22 @@ class Core:
         if not (low_ready and high_ready):  # pragma: no cover
             raise SimulationError(f"issued {uop.instr} with unresolved pair r{reg}")
         uop.fwd_selects.append(select)
+        value = low | (high << 32)
+        fault = self.injected_fault
+        if not self.recording and fault is None:
+            return value
+        candidates = tuple(
+            lo | (hi << 32) for lo, hi in zip(low_candidates, high_candidates)
+        )
         if self.recording:
-            candidates = tuple(
-                lo | (hi << 32) for lo, hi in zip(low_candidates, high_candidates)
-            )
             self._record(
                 view, reg, select, candidates, valid_mask, slot, operand, 64
             )
-        return low | (high << 32)
+        if fault is not None:
+            return fault.apply(
+                slot, operand, Resolution(value, select, True, candidates, valid_mask)
+            )
+        return value
 
     def _record(
         self,

@@ -29,7 +29,7 @@ from repro.isa.encoding import decode
 from repro.isa.instructions import Instruction
 from repro.mem.bus import SystemBus, Transaction, TxnKind
 from repro.mem.cache import Cache
-from repro.mem.memmap import MemoryMap, is_cacheable
+from repro.mem.memmap import is_cacheable
 from repro.mem.tcm import Tcm
 
 
@@ -51,13 +51,11 @@ class FetchUnit:
         self,
         core_id: int,
         bus: SystemBus,
-        memmap: MemoryMap,
         icache: Cache,
         itcm: Tcm,
     ):
         self.core_id = core_id
         self.bus = bus
-        self.memmap = memmap
         self.icache = icache
         self.itcm = itcm
         self.icache_enabled = False

@@ -14,8 +14,9 @@ select), so in-field detection can be cross-checked against the PPSFP
 verdict for the same fault — which the test suite does.
 
 Every fault answers one call, ``apply(slot, operand, resolution)``: the
-core hands it the fault-free :class:`Resolution` of each 32-bit operand
-it resolves and executes with the value it returns.
+core hands it the fault-free :class:`Resolution` of each operand it
+resolves (a 64-bit register pair on core C's wide instructions) and
+executes with the value it returns.
 """
 
 from __future__ import annotations

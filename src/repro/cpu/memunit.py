@@ -19,7 +19,7 @@ from repro.errors import SimulationError
 from repro.cpu.uop import Uop
 from repro.mem.bus import SystemBus, Transaction, TxnKind
 from repro.mem.cache import Cache, FillPlan
-from repro.mem.memmap import MemoryMap, is_cacheable
+from repro.mem.memmap import is_cacheable
 from repro.mem.tcm import Tcm
 from repro.telemetry.events import NULL_SINK, EventKind
 
@@ -31,14 +31,12 @@ class MemoryUnit:
         self,
         core_id: int,
         bus: SystemBus,
-        memmap: MemoryMap,
         dcache: Cache,
         itcm: Tcm,
         dtcm: Tcm,
     ):
         self.core_id = core_id
         self.bus = bus
-        self.memmap = memmap
         self.dcache = dcache
         self.itcm = itcm
         self.dtcm = dtcm

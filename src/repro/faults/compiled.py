@@ -16,17 +16,22 @@ arrays and evaluates against those:
   sweeps each batch with a specialised tight loop instead of calling
   ``eval_gate`` per gate.  Values are bit-for-bit those of
   ``Netlist.evaluate``.
-* **Cone-cached propagation.**  Each fault site's fanout cone — the
-  topologically-sorted slice of gates it can possibly disturb — is
-  computed once and cached (:meth:`CompiledNetlist.cone`).  Propagating
-  a fault walks that slice with epoch-stamped preallocated value
-  buffers, so per-fault allocation is near zero: no heap, no ``seen``
-  set, no faulty-value dict.  Cones are additionally *truncated* to
-  gates that can structurally reach an observable output whenever the
-  pattern set's observability lives on output nets (always true for the
-  pattern sets built by :mod:`repro.faults.observability`) — the
-  deliberately-unobservable slices of the generated modules (WAW
-  scheduler, vectored-IRQ path) are then never walked at all.
+* **Critical path tracing.**  :meth:`CompiledNetlist.propagator`
+  computes, once per pattern set, the patterns on which flipping each
+  net reaches an observed output.  Only *stems* (nets with a fanout
+  other than 1, or observed themselves) are walked forward, each once
+  with every pattern flipped, through a cone slice that is computed
+  once and cached (:meth:`CompiledNetlist.cone`); every fanout-free net
+  inherits its one reader's patterns, narrowed by the reader's side
+  input.  The module netlists are almost entirely fanout-free (about
+  4 % of the forwarding nets are stems), so grading costs one walk per
+  stem instead of one per fault, and a fault's verdict is one AND.
+  Cones are additionally *truncated* to gates that can structurally
+  reach an observable output whenever the pattern set's observability
+  lives on output nets (always true for the pattern sets built by
+  :mod:`repro.faults.observability`) — structurally dead stems, such as
+  the deliberately-unobservable slices of the generated modules (WAW
+  scheduler, vectored-IRQ path), are then never walked at all.
 
 Compiling **freezes** the netlist: late structural mutation raises
 instead of leaving a silently stale artifact.  The artifact itself is
@@ -81,11 +86,11 @@ class CompiledNetlist:
         "fanout_gates",
         "schedule",
         "observable",
+        "reader_kind",
+        "reader_side",
+        "reader_out",
         "_cones",
         "_full_cones",
-        "_faulty",
-        "_stamp",
-        "_epoch",
     )
 
     def __init__(self, netlist: Netlist):
@@ -101,19 +106,14 @@ class CompiledNetlist:
         self.fanout_index, self.fanout_gates = self._compute_fanout_csr()
         self.schedule = self._compute_schedule()
         self.observable = self._compute_observable()
-        # Cone caches: site -> tuple of (kind, a, b, out) quads in
+        self.reader_kind, self.reader_side, self.reader_out = (
+            self._compute_readers()
+        )
+        # Cone caches: stem -> tuple of (kind, a, b, out) quads in
         # topological order.  Filled lazily, kept for the artifact's
-        # lifetime — every stuck-at/transition fault on the same net
-        # reuses the slice.
+        # lifetime — every pattern set reuses the slice.
         self._cones: dict[int, tuple] = {}
         self._full_cones: dict[int, tuple] = {}
-        # Preallocated propagation buffers: faulty values + epoch
-        # stamps.  A net's faulty value is valid only when its stamp
-        # equals the current epoch, so "resetting" between faults is a
-        # single integer increment.
-        self._faulty = [0] * self.num_nets
-        self._stamp = [0] * self.num_nets
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # Compile passes.
@@ -191,6 +191,27 @@ class CompiledNetlist:
                 if b >= 0:
                     observable[b] = True
         return observable
+
+    def _compute_readers(self) -> tuple[list[int], list[int], list[int]]:
+        """Per net: the kind, other input and output net of its only
+        reader.
+
+        The other input is -1 for BUF/NOT.  A net read by no gate, by
+        several, or twice by one gate (fanout 2) is a structural stem
+        and gets -1 in all three lists.  Plain int lists, not tuples:
+        they allocate nothing the garbage collector tracks.
+        """
+        index = self.fanout_index
+        kinds = [-1] * self.num_nets
+        sides = [-1] * self.num_nets
+        outs = [-1] * self.num_nets
+        gates = zip(self.kinds, self.gate_a, self.gate_b, self.gate_out)
+        for kind, a, b, out in gates:
+            if index[a + 1] - index[a] == 1:
+                kinds[a], sides[a], outs[a] = kind, b, out
+            if b >= 0 and index[b + 1] - index[b] == 1:
+                kinds[b], sides[b], outs[b] = kind, a, out
+        return kinds, sides, outs
 
     # ------------------------------------------------------------------
     # Cone cache.
@@ -298,75 +319,90 @@ class CompiledNetlist:
     ):
         """A ``(site, faulty_site_value) -> bool`` propagation closure.
 
-        Cones here average a handful of gates, so per-fault *overhead*
-        — attribute lookups, cone-cache probes, argument shuffling —
-        rivals the propagation work itself.  This factory hoists
-        everything invariant across one pattern set (good values, mask,
-        observability vector, cone cache, stamp buffers) into closure
-        cells, leaving the per-fault call with nothing but the walk.
+        Critical path tracing (Abramovici, Menon and Miller, DAC 1983):
+        before returning, one pass computes ``lanes[n]``, the patterns
+        on which flipping net ``n`` reaches an observed output on an
+        observed pattern.  A *stem* (fanout other than 1, or itself
+        observed) gets its lanes from one forward walk of its cone with
+        every pattern flipped; any other net takes its one reader's
+        lanes, narrowed to the patterns where the reader's side input
+        lets the flip through.  Nets are visited in descending id order,
+        so a reader's output (always a higher id) is settled first.
+        Pattern lanes are independent and a fanout-free path cannot
+        reconverge, so the answer is exact: a fault is detected iff its
+        site differs from the good value on one of the site's lanes.
         """
         cones = self._cones if truncated else self._full_cones
         cones_get = cones.get
         build = self.cone
-        faulty = self._faulty
-        stamp = self._stamp
         observable = self.observable
-        # Structurally dead sites (cannot reach any output net) can be
-        # rejected with one list probe — but only under truncation,
-        # where every observability mask provably sits on a live net.
-        check_dead = truncated
+        reader_kind = self.reader_kind
+        reader_side = self.reader_side
+        reader_out = self.reader_out
+        faulty = [0] * self.num_nets
+        stamp = [0] * self.num_nets
+        lanes = [0] * self.num_nets
+        epoch = 0
+        for n in range(self.num_nets - 1, -1, -1):
+            site_obs = obs[n]
+            out = reader_out[n]
+            if out >= 0 and site_obs is None:
+                kind = reader_kind[n]
+                through = lanes[out]
+                if kind == _AND or kind == _NAND:
+                    through &= good[reader_side[n]]
+                elif kind == _OR or kind == _NOR:
+                    through &= ~good[reader_side[n]]
+                lanes[n] = through
+                continue
+            # Under truncation every observed net is live, so a stem
+            # that cannot reach an output net is never walked.
+            if truncated and not observable[n]:
+                continue
+            acc = 0 if site_obs is None else mask & site_obs
+            cone = cones_get(n)
+            if cone is None:
+                cone = build(n, truncated)
+            if cone:
+                epoch += 1
+                faulty[n] = good[n] ^ mask
+                stamp[n] = epoch
+                for kind, a, b, out in cone:
+                    if b < 0:
+                        if stamp[a] != epoch:
+                            continue
+                        value = faulty[a] if kind == _BUF else ~faulty[a] & mask
+                    else:
+                        stamped_a = stamp[a] == epoch
+                        stamped_b = stamp[b] == epoch
+                        if not stamped_a and not stamped_b:
+                            continue
+                        av = faulty[a] if stamped_a else good[a]
+                        bv = faulty[b] if stamped_b else good[b]
+                        if kind == _AND:
+                            value = av & bv
+                        elif kind == _OR:
+                            value = av | bv
+                        elif kind == _XNOR:
+                            value = ~(av ^ bv) & mask
+                        elif kind == _XOR:
+                            value = av ^ bv
+                        elif kind == _NAND:
+                            value = ~(av & bv) & mask
+                        else:  # NOR
+                            value = ~(av | bv) & mask
+                    good_value = good[out]
+                    if value == good_value:
+                        continue
+                    faulty[out] = value
+                    stamp[out] = epoch
+                    out_obs = obs[out]
+                    if out_obs is not None:
+                        acc |= (value ^ good_value) & out_obs
+            lanes[n] = acc
 
         def propagate(site: int, faulty_site_value: int) -> bool:
-            if check_dead and not observable[site]:
-                return False
-            diff = (good[site] ^ faulty_site_value) & mask
-            if not diff:
-                return False
-            site_obs = obs[site]
-            if site_obs is not None and diff & site_obs:
-                return True
-            cone = cones_get(site)
-            if cone is None:
-                cone = build(site, truncated)
-            if not cone:
-                return False
-            epoch = self._epoch + 1
-            self._epoch = epoch
-            faulty[site] = faulty_site_value
-            stamp[site] = epoch
-            for kind, a, b, out in cone:
-                if b < 0:
-                    if stamp[a] != epoch:
-                        continue
-                    value = faulty[a] if kind == _BUF else ~faulty[a] & mask
-                else:
-                    stamped_a = stamp[a] == epoch
-                    stamped_b = stamp[b] == epoch
-                    if not stamped_a and not stamped_b:
-                        continue
-                    av = faulty[a] if stamped_a else good[a]
-                    bv = faulty[b] if stamped_b else good[b]
-                    if kind == _AND:
-                        value = av & bv
-                    elif kind == _OR:
-                        value = av | bv
-                    elif kind == _XNOR:
-                        value = ~(av ^ bv) & mask
-                    elif kind == _XOR:
-                        value = av ^ bv
-                    elif kind == _NAND:
-                        value = ~(av & bv) & mask
-                    else:  # NOR
-                        value = ~(av | bv) & mask
-                good_value = good[out]
-                if value == good_value:
-                    continue
-                faulty[out] = value
-                stamp[out] = epoch
-                out_obs = obs[out]
-                if out_obs is not None and (value ^ good_value) & out_obs:
-                    return True
-            return False
+            return bool((good[site] ^ faulty_site_value) & lanes[site])
 
         return propagate
 

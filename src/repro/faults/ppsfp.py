@@ -12,8 +12,9 @@ keeps one per-fault loop over whichever propagator it is given, and
 the two produce bit-identical results:
 
 * ``engine="compiled"`` (default) — the levelized array kernel of
-  :mod:`repro.faults.compiled`: per-kind batched good simulation,
-  cone-cached propagation, preallocated buffers.
+  :mod:`repro.faults.compiled`: per-kind batched good simulation and
+  critical path tracing (one forward walk per fanout stem per pattern
+  set, every fault then answered with one AND).
 * ``engine="interpreted"`` — the original per-gate reference path
   (:func:`_propagate`), kept selectable (and continuously
   differential-tested) both as the correctness oracle and for netlists

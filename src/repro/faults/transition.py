@@ -54,13 +54,22 @@ class TransitionFault:
         return self.stable_id
 
 
+#: Every fault :func:`enumerate_transition_faults` has handed out:
+#: entries ``2n`` and ``2n + 1`` are net ``n``'s slow-to-rise and
+#: slow-to-fall faults.  Grows on demand, shared by every netlist.
+_INTERNED: list[TransitionFault] = []
+
+
 def enumerate_transition_faults(netlist: Netlist) -> list[TransitionFault]:
-    """Two transition faults per net (uncollapsed)."""
-    return [
-        TransitionFault(net, rising)
-        for net in range(netlist.num_nets)
-        for rising in (True, False)
-    ]
+    """Two transition faults per net (uncollapsed), in net order.
+
+    The list is fresh but its faults are interned, so grading a port
+    once per core run does not rebuild ``2 * num_nets`` values.
+    """
+    for net in range(len(_INTERNED) // 2, netlist.num_nets):
+        _INTERNED.append(TransitionFault(net, True))
+        _INTERNED.append(TransitionFault(net, False))
+    return _INTERNED[: 2 * netlist.num_nets]
 
 
 def transition_fault_simulate(

@@ -38,7 +38,6 @@ class Soc:
                 core_id,
                 model,
                 self.bus,
-                self.memmap,
                 icache_config=config.icache,
                 dcache_config=config.dcache,
                 tcm_size=config.tcm_size,

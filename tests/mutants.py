@@ -53,8 +53,8 @@ MUTANTS = (
     Mutant(
         "compiled propagator ignores observability masks",
         "src/repro/faults/compiled.py",
-        "                if out_obs is not None and (value ^ good_value) & out_obs:\n",
-        "                if out_obs is not None:\n",
+        "                        acc |= (value ^ good_value) & out_obs\n",
+        "                        acc |= value ^ good_value\n",
         (
             "tests/test_compiled_equivalence.py"
             "::test_random_netlists_stuckat_equivalence",
@@ -121,11 +121,57 @@ MUTANTS = (
     Mutant(
         "compiled kernel rejects dead sites without truncated cones",
         "src/repro/faults/compiled.py",
-        "        check_dead = truncated\n",
-        "        check_dead = True\n",
+        "            if truncated and not observable[n]:\n",
+        "            if not observable[n]:\n",
         (
             "tests/test_compiled_equivalence.py"
             "::test_random_netlists_stuckat_equivalence",
+        ),
+    ),
+    Mutant(
+        "compiled kernel drops side-input narrowing",
+        "src/repro/faults/compiled.py",
+        "                if kind == _AND or kind == _NAND:\n"
+        "                    through &= good[reader_side[n]]\n"
+        "                elif kind == _OR or kind == _NOR:\n"
+        "                    through &= ~good[reader_side[n]]\n",
+        "",
+        (
+            "tests/test_compiled_equivalence.py"
+            "::test_dropping_is_neutral_within_one_call",
+            "tests/test_compiled_equivalence.py"
+            "::test_engines_record_identical_drop_sets",
+            "tests/test_compiled_equivalence.py::test_campaign_engines_agree",
+        ),
+    ),
+    Mutant(
+        "compiled kernel treats an observed fanout-free net as traced",
+        "src/repro/faults/compiled.py",
+        "            if out >= 0 and site_obs is None:\n",
+        "            if out >= 0:\n",
+        (
+            "tests/test_compiled_equivalence.py"
+            "::test_random_netlists_transition_equivalence[2]",
+            "tests/test_compiled_equivalence.py"
+            "::test_random_netlists_transition_equivalence[4]",
+            "tests/test_compiled_equivalence.py"
+            "::test_random_netlists_transition_equivalence[5]",
+        ),
+    ),
+    Mutant(
+        "injected fault skips the wide operand",
+        "src/repro/cpu/core.py",
+        "            return fault.apply(\n"
+        "                slot, operand, Resolution(value, select, True, candidates, valid_mask)\n"
+        "            )\n",
+        "            return value\n",
+        (
+            "tests/test_core_c_64bit.py"
+            "::test_injected_fault_reaches_the_wide_operand[0-81-0]",
+            "tests/test_core_c_64bit.py"
+            "::test_injected_fault_reaches_the_wide_operand[32-80-1]",
+            "tests/test_core_c_64bit.py"
+            "::test_select_fault_reaches_the_wide_operand_without_recording",
         ),
     ),
     Mutant(

@@ -1,11 +1,12 @@
 """Differential compiled-vs-interpreted equivalence for every fault model.
 
 The compiled kernel (:mod:`repro.faults.compiled`) is a pure
-performance substitution: levelized arrays, cached cones, preallocated
-buffers — but not one reported number may move.  These tests pin that
+performance substitution: levelized arrays, critical path tracing,
+cached stem cones — but not one reported number may move.  These tests pin that
 contract against the interpreted reference path for the three fault
 models (uncollapsed stuck-at, weighted PPSFP, transition-delay), on
-both real module netlists and seeded random ones, with and without
+real module netlists, seeded random ones and hand-built corners of the
+tracing rules, with and without
 fault dropping (also carried across disjoint fault subsets), and end
 to end through the campaign graded by each engine in turn.
 """
@@ -106,6 +107,62 @@ def random_patterns(
         for net in rng.sample(gate_outs, k=min(4, len(gate_outs))):
             observability[net] = rng.getrandbits(num_patterns)
     return PatternSet(num_patterns, inputs, observability)
+
+
+def exhaustive_patterns(netlist: Netlist, observability: dict) -> PatternSet:
+    """Every input combination once: pattern t drives input i with bit
+    i of t."""
+    num_patterns = 1 << len(netlist.input_nets)
+    inputs = {
+        net: sum(1 << t for t in range(num_patterns) if t >> i & 1)
+        for i, net in enumerate(netlist.input_nets)
+    }
+    return PatternSet(num_patterns, inputs, observability)
+
+
+def internal_observed_fanout_free() -> tuple[Netlist, PatternSet]:
+    """An observed net with one reader, inside a slice that reaches no
+    output net, so the truncated cones cannot be used.  The reader is
+    observed only on pattern 0, where its side input blocks the net, so
+    the net's faults show through its own observation alone."""
+    netlist = Netlist("internal-obs")
+    a, b, c, d = netlist.add_input_bus("in", 4)
+    inner = netlist.add_gate(GateKind.AND, a, b)
+    dead = netlist.add_gate(GateKind.AND, inner, c)
+    out = netlist.add_gate(GateKind.OR, c, d)
+    netlist.mark_output_bus("out", [out])
+    return netlist, exhaustive_patterns(
+        netlist, {inner: 0xA5A5, dead: 0x0001, out: 0x0FF0}
+    )
+
+
+def same_net_on_both_inputs() -> tuple[Netlist, PatternSet]:
+    """Gates reading one net on both inputs: fanout 2, so a stem."""
+    netlist = Netlist("same-net")
+    a, b, c = netlist.add_input_bus("in", 3)
+    x = netlist.add_gate(GateKind.OR, a, b)
+    y = netlist.add_gate(GateKind.XOR, x, x)
+    w = netlist.add_gate(GateKind.NOR, c, c)
+    z = netlist.add_gate(GateKind.AND, w, x)
+    netlist.mark_output_bus("out", [y, z])
+    return netlist, exhaustive_patterns(netlist, {y: 0xFF, z: 0x5A})
+
+
+def reconvergent_xor() -> tuple[Netlist, PatternSet]:
+    """A stem reconverging into an XOR, where its two flips cancel: the
+    stem's faults are undetectable although each branch's are not."""
+    netlist = Netlist("reconvergent")
+    a, b = netlist.add_input_bus("in", 2)
+    p = netlist.add_gate(GateKind.BUF, a)
+    n = netlist.add_gate(GateKind.NOT, a)
+    r = netlist.add_gate(GateKind.XOR, p, n)
+    s = netlist.add_gate(GateKind.AND, r, b)
+    t = netlist.add_gate(GateKind.NAND, s, a)
+    netlist.mark_output_bus("out", [s, t])
+    return netlist, exhaustive_patterns(netlist, {s: 0xE, t: 0x5})
+
+
+DIRECTED = (internal_observed_fanout_free, same_net_on_both_inputs, reconvergent_xor)
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +271,24 @@ def test_random_netlists_transition_equivalence(seed):
     ) == as_tuple(
         transition_fault_simulate(netlist, patterns, faults, engine="interpreted")
     )
+
+
+@pytest.mark.parametrize("build", DIRECTED, ids=lambda build: build.__name__)
+def test_directed_netlists_engines_agree(build):
+    """Hand-built corners of critical path tracing: an observed net with
+    one reader outside the output cone, a gate reading one net twice,
+    and reconvergent fanout whose flips cancel in an XOR."""
+    netlist, patterns = build()
+    truncates = compiled_for(netlist).can_truncate(patterns.output_observability)
+    assert truncates == (build is not internal_observed_fanout_free)
+    for kernel, faults in (
+        (fault_simulate, enumerate_faults(netlist)),
+        (transition_fault_simulate, enumerate_transition_faults(netlist)),
+    ):
+        compiled = kernel(netlist, patterns, faults, engine="compiled")
+        interpreted = kernel(netlist, patterns, faults, engine="interpreted")
+        assert as_tuple(compiled) == as_tuple(interpreted)
+        assert compiled.detected_faults
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Pipeline-level tests specific to core C's 64-bit extension."""
 
+import pytest
+
+from repro.cpu.injection import DataBitFault, SelectFault, install
 from repro.cpu.recording import FwdSource
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.soc import Soc
 from repro.stl.packets import PhasedBuilder
 
 
-def run_on_core_c(build):
+def run_on_core_c(build, fault=None, recording=True):
     soc = Soc()
     core = soc.cores[2]
+    core.recording = recording
+    if fault is not None:
+        install(core, fault)
     asm = PhasedBuilder(core.itcm.base, "c64")
     build(asm)
     asm.halt()
@@ -93,3 +99,38 @@ def test_carry_crosses_word_boundary():
     core = run_on_core_c(build)
     assert core.regfile.read(8) == 0
     assert core.regfile.read(9) == 1
+
+
+def forwarded_add64(asm):
+    asm.li(4, 20)
+    asm.li(5, 0)
+    asm.li(6, 40)
+    asm.li(7, 0)
+    asm.align()
+    asm.packet(Instruction(Mnemonic.ADD64, rd=8, rs1=4, rs2=4))
+    asm.packet(Instruction(Mnemonic.ADD64, rd=10, rs1=8, rs2=6))
+
+
+@pytest.mark.parametrize(
+    "bit, low, high", ((None, 80, 0), (0, 81, 0), (32, 80, 1)), ids=str
+)
+def test_injected_fault_reaches_the_wide_operand(bit, low, high):
+    """A data-bit fault on the EX0 column corrupts the 64-bit operand
+    it selects, low word or high word, while the record keeps the
+    fault-free view."""
+    fault = None if bit is None else DataBitFault(0, 0, FwdSource.EX0, bit, 1)
+    core = run_on_core_c(forwarded_add64, fault)
+    assert (core.regfile.read(10), core.regfile.read(11)) == (low, high)
+    wide = [r for r in core.log.forwarding if r.width == 64]
+    forwarded = [r for r in wide if r.select == FwdSource.EX0]
+    assert [(r.slot, r.operand) for r in forwarded] == [(0, 0)]
+    assert forwarded[0].candidates[int(FwdSource.EX0)] == 40
+
+
+def test_select_fault_reaches_the_wide_operand_without_recording():
+    """Field hardware logs nothing, yet a forced select still picks the
+    stale register-file pair (r8 not yet written back) over EX0."""
+    fault = SelectFault(0, 0, forced=FwdSource.RF)
+    core = run_on_core_c(forwarded_add64, fault, recording=False)
+    assert not core.log.forwarding
+    assert (core.regfile.read(10), core.regfile.read(11)) == (40, 0)
