@@ -100,16 +100,19 @@ class Table1Result:
         )
 
 
+#: Initial-release staggers each Table I row averages over.
+TABLE1_EXECUTIONS = 3
+
+
 def table1_stalls(
     repeat: int = 4,
-    executions: int = 3,
     soc_config: SocConfig = DEFAULT_SOC_CONFIG,
 ) -> Table1Result:
     """Run the background STL in parallel on 1, 2 and 3 cores.
 
     The forwarding/interrupt routines are excluded, as in Section IV-B
     ("their behavior was analyzed separately").  Following the paper,
-    each row averages ``executions`` runs with different initial-release
+    each row averages ``TABLE1_EXECUTIONS`` runs with different initial-release
     staggers ("average values gathered across several executions ...
     varies depending on the initial SoC configuration").  Module
     recording is disabled: this experiment only reads stall counters.
@@ -118,7 +121,7 @@ def table1_stalls(
     monitor = StallMonitor()
     for active in (1, 2, 3):
         samples = []
-        for execution in range(executions):
+        for execution in range(TABLE1_EXECUTIONS):
             soc = Soc(soc_config)
             libraries = {
                 core_id: build_library(

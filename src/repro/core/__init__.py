@@ -21,7 +21,6 @@ from repro.core.cache_wrapper import (
     DummyLoadBuilder,
     build_cache_wrapped,
     cache_wrapped_builder,
-    memory_overhead_bytes,
 )
 from repro.core.determinism import (
     CoreRunResult,
@@ -46,7 +45,6 @@ __all__ = [
     "DummyLoadBuilder",
     "build_cache_wrapped",
     "cache_wrapped_builder",
-    "memory_overhead_bytes",
     "CoreRunResult",
     "Scenario",
     "ScenarioResult",

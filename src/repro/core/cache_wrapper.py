@@ -150,15 +150,3 @@ def cache_wrapped_builder(
         )
 
     return build
-
-
-def memory_overhead_bytes(routine: TestRoutine, ctx: RoutineContext) -> int:
-    """Overall (RAM/TCM) memory overhead of the cache-based strategy.
-
-    The wrapper adds a handful of flash instructions (which the paper
-    calls negligible) but reserves **zero** bytes of RAM, TCM or cache:
-    the routine is allocated in the caches at run time without enlarging
-    its memory footprint.  Returned for symmetry with the TCM strategy's
-    reservation; always 0.
-    """
-    return 0

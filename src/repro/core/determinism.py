@@ -53,13 +53,10 @@ class Scenario:
         return (seed + core_id * 7) % 11
 
 
-def default_scenarios(
-    two_core: tuple[int, ...] = (0, 1),
-    three_core: tuple[int, ...] = (0, 1, 2),
-) -> tuple[Scenario, ...]:
+def default_scenarios() -> tuple[Scenario, ...]:
     """The paper's matrix: {2,3 active cores} x {3 positions} x {3 alignments}."""
     scenarios = []
-    for active in (two_core, three_core):
+    for active in ((0, 1), (0, 1, 2)):
         for position in CodePosition:
             for alignment in CodeAlignment:
                 scenarios.append(Scenario(active, position, alignment))

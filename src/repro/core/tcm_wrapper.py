@@ -21,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
-from repro.isa.instructions import Csr, Instruction, Mnemonic
+from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.program import Program
 from repro.mem.memmap import itcm_base
 from repro.soc.soc import Soc
-from repro.stl.conventions import DATA_PTR, LINK_REG, WRAP_TMP
+from repro.stl.conventions import LINK_REG
 from repro.stl.packets import PhasedBuilder
 from repro.stl.routine import RoutineContext, TestRoutine, emit_epilogue
-from repro.stl.signature import emit_signature_init
 
 #: Registers used by the copy loop (disjoint from the body's register
 #: needs because the body only runs after the copy completes).
@@ -62,15 +61,7 @@ def build_tcm_body(
 ) -> Program:
     """The TCM-resident part: prologue + body + return."""
     asm = PhasedBuilder(tcm_address, f"{routine.name}_tcmbody")
-    asm.li(WRAP_TMP, 1)
-    asm.csrw(Csr.TESTWIN, WRAP_TMP)
-    emit_signature_init(asm)
-    asm.li(DATA_PTR, ctx.data_base)
-    asm.align()
-    routine.emit_body(asm, ctx.with_testwin_reg(None))
-    asm.align()
-    asm.li(WRAP_TMP, 0)
-    asm.csrw(Csr.TESTWIN, WRAP_TMP)
+    routine.emit_windowed(asm, ctx)
     asm.jr(LINK_REG)
     return asm.build()
 

@@ -141,7 +141,7 @@ class MemoryUnit:
                     cache=self.dcache.config.name,
                     address=address,
                 )
-            self._begin_uncached(uop, cycle, count_access=False)
+            self._begin_uncached(uop, cycle)
             return
         self._plan = self.dcache.prepare_fill(address)
         if self._plan.writeback_address is not None:
@@ -178,7 +178,7 @@ class MemoryUnit:
         else:
             self.dcache.write(uop.mem_address, uop.store_value, uop.mem_width)
 
-    def _begin_uncached(self, uop: Uop, cycle: int, count_access: bool = True) -> None:
+    def _begin_uncached(self, uop: Uop, cycle: int) -> None:
         if uop.is_load:
             txn = Transaction(
                 core_id=self.core_id,

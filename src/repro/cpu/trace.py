@@ -45,7 +45,11 @@ def trace_rows(uops: list[Uop]) -> list[TraceRow]:
     ]
 
 
-def render_pipeline_diagram(uops: list[Uop], label_width: int = 24) -> str:
+#: Width of the instruction-text column of a pipeline diagram.
+LABEL_WIDTH = 24
+
+
+def render_pipeline_diagram(uops: list[Uop]) -> str:
     """Render a cycle-by-cycle pipeline occupancy diagram."""
     if not uops:
         return "(empty trace)"
@@ -61,7 +65,7 @@ def render_pipeline_diagram(uops: list[Uop], label_width: int = 24) -> str:
     last = max(effective_wb(row) for row in rows) + 1
     span = last - first + 1
     lines = []
-    header = " " * label_width + "  " + "".join(
+    header = " " * LABEL_WIDTH + "  " + "".join(
         f"{(first + i) % 100:>3}" for i in range(span)
     )
     lines.append(header)
@@ -82,7 +86,7 @@ def render_pipeline_diagram(uops: list[Uop], label_width: int = 24) -> str:
             if 0 <= index < span and index not in seen:
                 cells[index] = f"  {letter}"
                 seen.add(index)
-        label = row.text[: label_width - 1].ljust(label_width)
+        label = row.text[: LABEL_WIDTH - 1].ljust(LABEL_WIDTH)
         forwards = ",".join(s.name for s in row.selects if s != FwdSource.RF)
         suffix = f"   fwd: {forwards}" if forwards else ""
         lines.append(label + "  " + "".join(cells) + suffix)

@@ -38,6 +38,14 @@ NUM_SOURCES = 5
 PORTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 #: Width of the imprecision / recognition-count fields in the ICU model.
 ICU_FIELD_BITS = 4
+#: Data columns of each forwarding mux that the test never selects.
+EXTRA_SOURCES = 2
+
+
+def _depth(model: CoreModel) -> int:
+    """Buffer-chain depth of the forwarding and HDCU netlists; core B's
+    physical design inserts one more stage (the ICU adds one to it)."""
+    return 3 if model.name == "B" else 2
 
 
 def _chain(nl: Netlist, net: int, rng: DeterministicRng, lo: int, hi: int) -> int:
@@ -48,17 +56,11 @@ def _chain(nl: Netlist, net: int, rng: DeterministicRng, lo: int, hi: int) -> in
 # Forwarding logic.
 # ----------------------------------------------------------------------
 
-def generate_forwarding_port(
-    model: CoreModel,
-    slot: int,
-    operand: int,
-    depth: int | None = None,
-    extra_sources: int = 2,
-) -> Netlist:
+def generate_forwarding_port(model: CoreModel, slot: int, operand: int) -> Netlist:
     """One consumer-operand forwarding mux (width 32, or 64 on core C).
 
     Besides the five sources the register-to-register test can steer
-    (RF, EX0/1, MEM0/1), the physical mux has ``extra_sources`` more
+    (RF, EX0/1, MEM0/1), the physical mux has ``EXTRA_SOURCES`` more
     data columns — late multiplier-bypass and link/CSR write paths —
     that the forwarding algorithm of [19] never selects.  Their faults
     are at best half-detectable (a stuck-at-1 may disturb the OR tree;
@@ -67,17 +69,14 @@ def generate_forwarding_port(
     with every steerable path excited.
     """
     width = 64 if model.is64 else 32
-    if depth is None:
-        depth = 3 if model.name == "B" else 2
+    depth = _depth(model)
     rng = DeterministicRng(model.netlist_seed ^ (slot * 97 + operand * 31 + 7))
     nl = Netlist(f"fwd_{model.name}_s{slot}o{operand}")
     sel = nl.add_input_bus("sel", NUM_SOURCES)
     data = [nl.add_input_bus(f"d{i}", width) for i in range(NUM_SOURCES)]
     # Dead columns last, so pattern stimuli can leave them implicit 0.
-    sel_x = nl.add_input_bus("sel_x", extra_sources)
-    data_x = [
-        nl.add_input_bus(f"dx{i}", width) for i in range(extra_sources)
-    ]
+    sel_x = nl.add_input_bus("sel_x", EXTRA_SOURCES)
+    data_x = [nl.add_input_bus(f"dx{i}", width) for i in range(EXTRA_SOURCES)]
     # Select lines fan out to every bit slice through buffer trees.
     sel_buf = [_chain(nl, s, rng, 1, depth) for s in sel]
     sel_x_buf = [_chain(nl, s, rng, 1, depth) for s in sel_x]
@@ -87,7 +86,7 @@ def generate_forwarding_port(
         for i in range(NUM_SOURCES):
             dij = _chain(nl, data[i][j], rng, 0, depth)
             terms.append(nl.add_gate(GateKind.AND, sel_buf[i], dij))
-        for i in range(extra_sources):
+        for i in range(EXTRA_SOURCES):
             dij = _chain(nl, data_x[i][j], rng, 0, depth)
             terms.append(nl.add_gate(GateKind.AND, sel_x_buf[i], dij))
         merged = nl.or_tree(terms)
@@ -100,9 +99,7 @@ def generate_forwarding_port(
 # Hazard Detection Control Unit.
 # ----------------------------------------------------------------------
 
-def generate_hdcu_port(
-    model: CoreModel, slot: int, operand: int, depth: int | None = None
-) -> Netlist:
+def generate_hdcu_port(model: CoreModel, slot: int, operand: int) -> Netlist:
     """The comparator/priority block serving one consumer operand.
 
     Inputs: the consumer's register index, the four in-flight producers'
@@ -111,8 +108,7 @@ def generate_hdcu_port(
     (RF, EX0, EX1, MEM0, MEM1 — matching :class:`FwdSource` order) and
     the stall request ("forwarding not possible yet").
     """
-    if depth is None:
-        depth = 3 if model.name == "B" else 2
+    depth = _depth(model)
     rng = DeterministicRng(model.netlist_seed ^ (slot * 53 + operand * 17 + 3))
     nl = Netlist(f"hdcu_{model.name}_s{slot}o{operand}")
     consumer = nl.add_input_bus("c", 5)
@@ -170,11 +166,10 @@ def generate_hdcu_port(
 # Interrupt Control Unit.
 # ----------------------------------------------------------------------
 
-def generate_icu(model: CoreModel, depth: int | None = None) -> Netlist:
+def generate_icu(model: CoreModel) -> Netlist:
     """The recognition-side ICU: event encode/decode, status mapping,
     imprecision latch path and recognition counter."""
-    if depth is None:
-        depth = 4 if model.name == "B" else 3
+    depth = _depth(model) + 1
     rng = DeterministicRng(model.netlist_seed ^ 0x1C0)
     nl = Netlist(f"icu_{model.name}")
     events = nl.add_input_bus("e", NUM_EVENTS)

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.instructions import Csr, Instruction, Mnemonic
+from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.program import Program
 from repro.soc.loader import CodeAlignment, CodePosition, placement_address
-from repro.stl.conventions import DATA_PTR, SIG_REG, WRAP_TMP
+from repro.stl.conventions import SIG_REG
 from repro.stl.library import SoftwareTestLibrary
 from repro.stl.packets import PhasedBuilder
 from repro.stl.routine import RoutineContext
-from repro.stl.signature import emit_signature_init
 
 
 @dataclass
@@ -68,16 +67,7 @@ def build_dispatch_program(
     """
     asm = PhasedBuilder(base_address, f"dispatch_core{schedule.core_id}")
     for name in schedule.routine_names:
-        routine = library.get(name)
-        asm.li(WRAP_TMP, 1)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
-        emit_signature_init(asm)
-        asm.li(DATA_PTR, ctx.data_base)
-        asm.align()
-        routine.emit_body(asm, ctx)
-        asm.align()
-        asm.li(WRAP_TMP, 0)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
+        library.get(name).emit_windowed(asm, ctx)
     asm.halt()
     return asm.build()
 
@@ -153,20 +143,11 @@ def build_dynamic_dispatch_program(
     # Routine subroutines; each returns through LINK_REG.
     entry_labels = []
     for name in names:
-        routine = library.get(name)
         label = f"rt_{name}"
         entry_labels.append(label)
         asm.align()
         asm.label(label)
-        asm.li(WRAP_TMP, 1)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
-        emit_signature_init(asm)
-        asm.li(DATA_PTR, ctx.data_base)
-        asm.align()
-        routine.emit_body(asm, ctx)
-        asm.align()
-        asm.li(WRAP_TMP, 0)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
+        library.get(name).emit_windowed(asm, ctx)
         asm.jr(31)
     asm.label("dispatch_loop")
     # Acquire the pool lock (atomic test-and-set on the shared word).
@@ -247,14 +228,13 @@ def load_parallel_session(
     soc,
     libraries: dict[int, SoftwareTestLibrary],
     schedule: ParallelSchedule,
-    position: CodePosition = CodePosition.LOW,
-    alignment: CodeAlignment = CodeAlignment.QWORD,
 ) -> dict[int, int]:
-    """Load one dispatch program per scheduled core; return entry points."""
+    """Load one dispatch program per scheduled core, each at its core's
+    low-flash, qword-aligned copy; return entry points."""
     entries = {}
     for core_id, core_schedule in schedule.per_core.items():
         ctx = RoutineContext.for_core(core_id, soc.cores[core_id].model)
-        base = placement_address(position, alignment, core_id)
+        base = placement_address(CodePosition.LOW, CodeAlignment.QWORD, core_id)
         program = build_dispatch_program(
             libraries[core_id], core_schedule, base, ctx
         )

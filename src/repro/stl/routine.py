@@ -3,15 +3,26 @@
 A :class:`TestRoutine` owns a *body emitter*: the instructions that
 actually excite the target module and fold observations into the
 signature (blocks *b*/*c* of the paper's Fig. 2a).  The same body is
-embedded, unmodified, by three different builders:
+embedded, unmodified, in six program shapes:
 
 * :meth:`TestRoutine.build_single_core` — the classic single-core STL
   program (Fig. 2a): signature init, body, signature check;
-* :class:`repro.core.cache_wrapper.CacheWrapper` — the paper's proposed
-  multi-core version (Fig. 2b): invalidate, loading loop, execution
-  loop, check;
-* :class:`repro.core.tcm_wrapper.TcmWrapper` — the Table IV comparison
-  strategy (copy to the I-TCM, then execute from there).
+* :func:`repro.core.tcm_wrapper.build_tcm_wrapped` — the Table IV
+  comparison strategy (copy the :func:`~repro.core.tcm_wrapper.build_tcm_body`
+  image to the I-TCM, then execute it from there);
+* :func:`repro.soc.scheduler.build_dispatch_program` and
+  :func:`repro.soc.scheduler.build_dynamic_dispatch_program` — the
+  static and dynamic parallel boot-time dispatchers (Table I);
+* :func:`repro.stl.runtime.build_runtime_session` — run-time tests in
+  an application's idle windows;
+* :func:`repro.core.cache_wrapper.build_cache_wrapped` — the paper's
+  proposed multi-core version (Fig. 2b): invalidate, loading loop,
+  execution loop, check.
+
+The first five are standalone: each frames the body with
+:meth:`TestRoutine.emit_windowed`, which owns the test window.  The
+cache wrapper drives TESTWIN from its loop counter and keeps its own
+frame.
 """
 
 from __future__ import annotations
@@ -106,6 +117,26 @@ class TestRoutine:
         self.uses_pcs = uses_pcs
         self.description = description
 
+    def emit_windowed(self, asm: PhasedBuilder, ctx: RoutineContext) -> None:
+        """Emit the body inside the standalone test window.
+
+        Block a opens TESTWIN, seeds the signature and points DATA_PTR
+        at the core's scratch area; the body (blocks b/c) follows with
+        TESTWIN driven by constants; the window closes on a packet
+        boundary, before any signature check.  Every standalone program
+        shape frames its routines here, so the recorder's observable
+        window is the same in all of them.
+        """
+        asm.li(WRAP_TMP, 1)
+        asm.csrw(Csr.TESTWIN, WRAP_TMP)
+        emit_signature_init(asm)
+        asm.li(DATA_PTR, ctx.data_base)
+        asm.align()
+        self.emit_body(asm, replace(ctx, testwin_reg=None))
+        asm.align()
+        asm.li(WRAP_TMP, 0)
+        asm.csrw(Csr.TESTWIN, WRAP_TMP)
+
     # ------------------------------------------------------------------
     # The classic single-core STL program (Fig. 2a).
     # ------------------------------------------------------------------
@@ -124,19 +155,7 @@ class TestRoutine:
         runs that *derive* the expected signature).
         """
         asm = PhasedBuilder(base_address, self.name)
-        ctx = replace(ctx, testwin_reg=None)
-        # Block a: signature initialisation + test window open.
-        asm.li(WRAP_TMP, 1)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
-        emit_signature_init(asm)
-        asm.li(DATA_PTR, ctx.data_base)
-        asm.align()
-        # Blocks b/c: the test program body.
-        self.emit_body(asm, ctx)
-        asm.align()
-        # Close the test window.
-        asm.li(WRAP_TMP, 0)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
+        self.emit_windowed(asm, ctx)
         emit_epilogue(asm, ctx, expected_signature)
         asm.halt()
         return asm.build()

@@ -69,6 +69,9 @@ _RS, _RP, _RQ, _RC = 5, 6, 8, 9
 _FILL = (10, 11, 12, 13)
 #: Value of the consumer's second operand in every block.
 _Q_VALUE = 0x0F0F3CA5
+#: On core C, every FOLD_HIGH_PERIOD-th block leaves the upper word of
+#: its result out of the signature (the rest fold it).
+FOLD_HIGH_PERIOD = 3
 
 #: Register pool the pattern blocks rotate through.  Exhausting the
 #: 5-bit register-index space matters as much as the data patterns: the
@@ -282,7 +285,6 @@ def forwarding_block_emitters(
     model: CoreModel,
     patterns_per_path: int | None = None,
     load_use_blocks: int = 4,
-    fold_high_period: int = 3,
 ) -> list:
     """The routine as a list of independent block emitters.
 
@@ -298,7 +300,7 @@ def forwarding_block_emitters(
         for k in range(patterns_per_path):
             value = DATA_PATTERNS[(path_index + k * 5) % len(DATA_PATTERNS)]
             if model.is64:
-                fold_high = block_index % fold_high_period != fold_high_period - 1
+                fold_high = block_index % FOLD_HIGH_PERIOD != FOLD_HIGH_PERIOD - 1
                 regs = _pair_regs_for_block(block_index)
 
                 def block64(asm, ctx, path=path, value=value, fold=fold_high, regs=regs):
@@ -327,7 +329,6 @@ def make_forwarding_routine(
     with_pcs: bool = True,
     patterns_per_path: int | None = None,
     load_use_blocks: int = 4,
-    fold_high_period: int = 3,
 ) -> TestRoutine:
     """Build the forwarding/HDCU test routine for one core model.
 
@@ -339,9 +340,7 @@ def make_forwarding_routine(
     """
     setup = forwarding_setup_emitter(model, with_pcs)
     teardown = forwarding_teardown_emitter(model, with_pcs)
-    blocks = forwarding_block_emitters(
-        model, patterns_per_path, load_use_blocks, fold_high_period
-    )
+    blocks = forwarding_block_emitters(model, patterns_per_path, load_use_blocks)
 
     def emit_body(asm: PhasedBuilder, ctx: RoutineContext) -> None:
         setup(asm, ctx)

@@ -38,6 +38,8 @@ _FILL = (10, 11, 12, 13)
 
 #: Recognition windows (filler packets between trigger and status read).
 RECOGNITION_WINDOWS = (0, 2, 4, 7)
+#: Recognition windows of the paired-trigger blocks.
+PAIRED_WINDOWS = (0, 3)
 
 
 def _trigger_emitters() -> dict[Event, Callable[[PhasedBuilder], None]]:
@@ -114,7 +116,6 @@ def _emit_status_reads(asm: PhasedBuilder) -> None:
 def make_interrupt_routine(
     model: CoreModel,
     windows: tuple[int, ...] = RECOGNITION_WINDOWS,
-    paired_windows: tuple[int, ...] = (0, 3),
 ) -> TestRoutine:
     """Build the imprecise-interrupt test routine for one core model."""
     triggers = _trigger_emitters()
@@ -133,7 +134,7 @@ def make_interrupt_routine(
         # recognition is indistinguishable.
         for first in (Event.OVF_ADD, Event.OVF_MUL, Event.DIV0):
             partner = Event(int(first) + 1)
-            for window in paired_windows:
+            for window in PAIRED_WINDOWS:
                 asm.align()
                 triggers[first](asm)
                 triggers[partner](asm)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.instructions import Csr
 from repro.isa.program import Program
 from repro.stl.conventions import (
     DATA_PTR,
@@ -30,13 +29,14 @@ from repro.stl.conventions import (
 )
 from repro.stl.packets import PhasedBuilder
 from repro.stl.routine import RoutineContext, TestRoutine
-from repro.stl.signature import emit_signature_init
 from repro.utils.bitops import MASK32, rotl32
 
 #: DTCM offsets used by a run-time session (per core).
 VERDICT_OFFSET = 0  # RESULT_PASS unless any window's check failed
 APP_STATE_OFFSET = 8  # the application's accumulator
 APP_RESULT_OFFSET = 12  # final application checksum
+#: Initial value of the application's accumulator.
+APP_SEED = 0x0BAD_F00D
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class RuntimeSession:
         return self.program.base_address
 
 
-def expected_app_checksum(rounds: int, seed: int = 0x0BAD_F00D) -> int:
+def expected_app_checksum(rounds: int) -> int:
     """Python model of the application's computation."""
-    value = seed
+    value = APP_SEED
     for round_index in range(rounds):
         value = (rotl32(value, 3) + ((round_index * 0x9E37) & MASK32)) & MASK32
     return value
@@ -66,7 +66,6 @@ def build_runtime_session(
     rounds: int,
     base_address: int,
     ctx: RoutineContext,
-    app_seed: int = 0x0BAD_F00D,
 ) -> RuntimeSession:
     """Interleave an application with run-time self-tests.
 
@@ -92,7 +91,7 @@ def build_runtime_session(
     asm.li(WRAP_TMP, RESULT_PASS)
     asm.li(DATA_PTR, mailbox)
     asm.sw(WRAP_TMP, VERDICT_OFFSET, DATA_PTR)
-    asm.li(WRAP_TMP, app_seed)
+    asm.li(WRAP_TMP, APP_SEED)
     asm.sw(WRAP_TMP, APP_STATE_OFFSET, DATA_PTR)
     for round_index in range(rounds):
         # Application compute phase: state lives in the D-TCM across
@@ -107,15 +106,7 @@ def build_runtime_session(
         asm.sw(1, APP_STATE_OFFSET, DATA_PTR)
         # Idle window: one run-time self-test execution.
         routine, expected = routines[round_index % len(routines)]
-        asm.li(WRAP_TMP, 1)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
-        emit_signature_init(asm)
-        asm.li(DATA_PTR, ctx.data_base)
-        asm.align()
-        routine.emit_body(asm, ctx.with_testwin_reg(None))
-        asm.align()
-        asm.li(WRAP_TMP, 0)
-        asm.csrw(Csr.TESTWIN, WRAP_TMP)
+        routine.emit_windowed(asm, ctx)
         ok = f"__rt_ok_{round_index}"
         asm.li(WRAP_TMP, expected)
         asm.beq(SIG_REG, WRAP_TMP, ok)
@@ -132,7 +123,7 @@ def build_runtime_session(
         program=asm.build(),
         rounds=rounds,
         routine_names=tuple(routine.name for routine, _ in routines),
-        expected_app_checksum=expected_app_checksum(rounds, app_seed),
+        expected_app_checksum=expected_app_checksum(rounds),
     )
 
 

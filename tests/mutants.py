@@ -255,6 +255,14 @@ MUTANTS = (
             "::test_slow_shards_never_queue_behind_their_deadline",
         ),
     ),
+    Mutant(
+        "window frame drops its closing align",
+        "src/repro/stl/routine.py",
+        "        self.emit_body(asm, replace(ctx, testwin_reg=None))\n"
+        "        asm.align()\n",
+        "        self.emit_body(asm, replace(ctx, testwin_reg=None))\n",
+        ("tests/test_program_images.py::test_program_images_match_pinned_digests",),
+    ),
 )
 
 

@@ -2,7 +2,6 @@
 
 from repro.core import (
     cache_wrapped_builder,
-    memory_overhead_bytes,
     run_scenario,
     signature_stability,
 )
@@ -37,12 +36,6 @@ def test_run_campaign_returns_one_result_per_scenario():
     assert all(set(r.per_core) == {0, 1} for r in results)
     report = signature_stability(results, 0)
     assert report.stable
-
-
-def test_memory_overhead_is_zero_by_construction():
-    ctx = RoutineContext.for_core(0, CORE_MODEL_A)
-    routine = make_forwarding_routine(CORE_MODEL_A, patterns_per_path=1)
-    assert memory_overhead_bytes(routine, ctx) == 0
 
 
 def test_scenario_result_carries_stall_counters():
