@@ -21,7 +21,14 @@ from __future__ import annotations
 
 from repro.errors import AssemblyError
 from repro.isa.builder import AsmBuilder
-from repro.isa.instructions import Csr, Format, Instruction, Mnemonic
+from repro.isa.instructions import (
+    OPERANDS,
+    SPECS,
+    Csr,
+    Format,
+    Instruction,
+    Mnemonic,
+)
 from repro.isa.program import Program
 
 _MNEMONICS = {m.value: m for m in Mnemonic}
@@ -93,89 +100,23 @@ def _assemble_statement(builder: AsmBuilder, text: str, lineno: int) -> None:
 def _emit(
     builder: AsmBuilder, mnemonic: Mnemonic, operands: list[str], lineno: int
 ) -> None:
-    fmt = Instruction(mnemonic).spec.format
-    need = {
-        Format.R3: 3,
-        Format.I: 3,
-        Format.LUI: 2,
-        Format.LOAD: 2,
-        Format.STORE: 2,
-        Format.BRANCH: 3,
-        Format.JUMP: 1,
-        Format.JR: 1,
-        Format.CSRR: 2,
-        Format.CSRW: 2,
-        Format.SYS: 0,
-    }[fmt]
-    if len(operands) != need:
+    fmt = SPECS[mnemonic].format
+    kinds = OPERANDS[fmt]
+    if len(operands) != len(kinds):
         raise AssemblyError(
-            f"{mnemonic.value} expects {need} operand(s), got {len(operands)}",
+            f"{mnemonic.value} expects {len(kinds)} operand(s), got {len(operands)}",
             lineno,
         )
-    if fmt is Format.R3:
-        builder.emit(
-            Instruction(
-                mnemonic,
-                rd=_reg(operands[0], lineno),
-                rs1=_reg(operands[1], lineno),
-                rs2=_reg(operands[2], lineno),
-            )
-        )
-    elif fmt is Format.I:
-        builder.emit(
-            Instruction(
-                mnemonic,
-                rd=_reg(operands[0], lineno),
-                rs1=_reg(operands[1], lineno),
-                imm=_parse_int(operands[2], lineno),
-            )
-        )
-    elif fmt is Format.LUI:
-        builder.emit(
-            Instruction(
-                mnemonic,
-                rd=_reg(operands[0], lineno),
-                imm=_parse_int(operands[1], lineno),
-            )
-        )
-    elif fmt is Format.LOAD:
-        offset, base = _mem_operand(operands[1], lineno)
-        builder.emit(
-            Instruction(mnemonic, rd=_reg(operands[0], lineno), rs1=base, imm=offset)
-        )
-    elif fmt is Format.STORE:
-        offset, base = _mem_operand(operands[1], lineno)
-        builder.emit(
-            Instruction(mnemonic, rs2=_reg(operands[0], lineno), rs1=base, imm=offset)
-        )
-    elif fmt is Format.BRANCH:
-        target = operands[2]
-        rs1 = _reg(operands[0], lineno)
-        rs2 = _reg(operands[1], lineno)
-        if _looks_numeric(target):
-            builder.emit(
-                Instruction(mnemonic, rs1=rs1, rs2=rs2, imm=_parse_int(target, lineno))
-            )
-        else:
-            getattr(builder, mnemonic.value)(rs1, rs2, target)
-    elif fmt is Format.JUMP:
-        target = operands[0]
-        if _looks_numeric(target):
-            builder.emit(
-                Instruction(mnemonic, imm=_parse_int(target, lineno) // 4)
-            )
-        elif mnemonic is Mnemonic.J:
-            builder.j(target)
-        else:
-            builder.jal(target)
-    elif fmt is Format.JR:
-        builder.jr(_reg(operands[0], lineno))
-    elif fmt is Format.CSRR:
-        builder.csrr(_reg(operands[0], lineno), _csr(operands[1], lineno))
-    elif fmt is Format.CSRW:
-        builder.csrw(_csr(operands[0], lineno), _reg(operands[1], lineno))
+    fields: dict = {}
+    for kind, text in zip(kinds, operands):
+        fields.update(_PARSE[kind](text, lineno))
+    if fmt is Format.JUMP and "imm" in fields:
+        fields["imm"] //= 4  # written as a byte address, encoded as a word address
+    instr = Instruction(mnemonic, **fields)
+    if instr.label:
+        builder.emit_to_label(instr)
     else:
-        builder.emit(Instruction(mnemonic))
+        builder.emit(instr)
 
 
 def _reg(text: str, lineno: int) -> int:
@@ -189,20 +130,26 @@ def _reg(text: str, lineno: int) -> int:
     raise AssemblyError(f"bad register {text!r}", lineno)
 
 
-def _csr(text: str, lineno: int) -> Csr:
+def _csr(text: str, lineno: int) -> dict:
     csr = _CSRS.get(text.strip().lower())
     if csr is None:
         raise AssemblyError(f"unknown CSR {text!r}", lineno)
-    return csr
+    return {"csr": int(csr)}
 
 
-def _mem_operand(text: str, lineno: int) -> tuple[int, int]:
+def _mem_operand(text: str, lineno: int) -> dict:
     text = text.strip()
     if not text.endswith(")") or "(" not in text:
         raise AssemblyError(f"bad memory operand {text!r}", lineno)
     offset_text, _, base_text = text[:-1].partition("(")
     offset = _parse_int(offset_text, lineno) if offset_text.strip() else 0
-    return offset, _reg(base_text, lineno)
+    return {"imm": offset, "rs1": _reg(base_text, lineno)}
+
+
+def _target(text: str, lineno: int) -> dict:
+    if _looks_numeric(text):
+        return {"imm": _parse_int(text, lineno)}
+    return {"label": text}
 
 
 def _parse_int(text: str, lineno: int) -> int:
@@ -217,3 +164,15 @@ def _looks_numeric(text: str) -> bool:
     if text.startswith(("-", "+")):
         text = text[1:]
     return text[:2].lower() == "0x" or text.isdigit()
+
+
+#: One parser per operand kind of ``OPERANDS``: operand text -> fields.
+_PARSE = {
+    "rd": lambda text, lineno: {"rd": _reg(text, lineno)},
+    "rs1": lambda text, lineno: {"rs1": _reg(text, lineno)},
+    "rs2": lambda text, lineno: {"rs2": _reg(text, lineno)},
+    "imm": lambda text, lineno: {"imm": _parse_int(text, lineno)},
+    "imm(rs1)": _mem_operand,
+    "csr": _csr,
+    "target": _target,
+}

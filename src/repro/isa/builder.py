@@ -11,7 +11,7 @@ loader does when sweeping code-position scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from repro.errors import AssemblyError
 from repro.isa.encoding import IMM10_MAX, IMM10_MIN, IMM15_MAX, IMM15_MIN
@@ -31,14 +31,6 @@ _INVERTED: dict[Mnemonic, Mnemonic] = {
 }
 
 
-@dataclass
-class _Pending:
-    """An emitted instruction whose label operand is not yet resolved."""
-
-    index: int
-    label: str
-
-
 class AsmBuilder:
     """Accumulates instructions and resolves labels into a :class:`Program`."""
 
@@ -51,7 +43,8 @@ class AsmBuilder:
         self.name = name
         self._code: list[Instruction] = []
         self._labels: dict[str, int] = {}
-        self._pending: list[_Pending] = []
+        #: Indices of emitted branches/jumps whose ``label`` is unresolved.
+        self._pending: list[int] = []
         self._address_li: list[tuple[int, int, str]] = []
         self._data: dict[int, int] = {}
 
@@ -63,6 +56,10 @@ class AsmBuilder:
         """Append an instruction; return its index in the code stream."""
         self._code.append(instr)
         return len(self._code) - 1
+
+    def emit_to_label(self, instr: Instruction) -> None:
+        """Append a branch or jump to ``instr.label``; :meth:`build` sets ``imm``."""
+        self._pending.append(self.emit(instr))
 
     def label(self, name: str) -> None:
         """Bind ``name`` to the address of the next emitted instruction."""
@@ -252,8 +249,7 @@ class AsmBuilder:
     # ------------------------------------------------------------------
 
     def _branch(self, m: Mnemonic, rs1: int, rs2: int, label: str) -> None:
-        index = self.emit(Instruction(m, rs1=rs1, rs2=rs2, label=label))
-        self._pending.append(_Pending(index, label))
+        self.emit_to_label(Instruction(m, rs1=rs1, rs2=rs2, label=label))
 
     def beq(self, rs1, rs2, label):
         self._branch(Mnemonic.BEQ, rs1, rs2, label)
@@ -284,12 +280,10 @@ class AsmBuilder:
         self.label(skip)
 
     def j(self, label: str) -> None:
-        index = self.emit(Instruction(Mnemonic.J, label=label))
-        self._pending.append(_Pending(index, label))
+        self.emit_to_label(Instruction(Mnemonic.J, label=label))
 
     def jal(self, label: str) -> None:
-        index = self.emit(Instruction(Mnemonic.JAL, label=label))
-        self._pending.append(_Pending(index, label))
+        self.emit_to_label(Instruction(Mnemonic.JAL, label=label))
 
     def jr(self, rs1: int) -> None:
         self.emit(Instruction(Mnemonic.JR, rs1=rs1))
@@ -327,30 +321,21 @@ class AsmBuilder:
     def build(self) -> Program:
         """Resolve all labels and return the finished :class:`Program`."""
         code = list(self._code)
-        for pending in self._pending:
-            target = self._labels.get(pending.label)
+        for index in self._pending:
+            instr = code[index]
+            target = self._labels.get(instr.label)
             if target is None:
-                raise AssemblyError(f"undefined label {pending.label!r}")
-            instr = code[pending.index]
+                raise AssemblyError(f"undefined label {instr.label!r}")
             if instr.spec.format is Format.BRANCH:
-                offset = target - pending.index
+                offset = target - index
                 if not IMM10_MIN <= offset <= IMM10_MAX:
                     raise AssemblyError(
-                        f"branch to {pending.label!r} spans {offset} words; "
+                        f"branch to {instr.label!r} spans {offset} words; "
                         "use branch_far for long-range branches"
                     )
-                code[pending.index] = Instruction(
-                    instr.mnemonic,
-                    rs1=instr.rs1,
-                    rs2=instr.rs2,
-                    imm=offset,
-                    label=pending.label,
-                )
-            else:  # JUMP
-                address = self.base_address + 4 * target
-                code[pending.index] = Instruction(
-                    instr.mnemonic, imm=address // 4, label=pending.label
-                )
+                code[index] = replace(instr, imm=offset)
+            else:  # JUMP: an absolute word address
+                code[index] = replace(instr, imm=self.base_address // 4 + target)
         for index, rd, label in self._address_li:
             target = self._labels.get(label)
             if target is None:

@@ -1,17 +1,8 @@
 """Binary encoding of the ISA (32-bit fixed-width instructions).
 
-Field layout (bit 31 is the MSB)::
-
-    [31:25] opcode (7 bits, one per mnemonic)
-    R3:     [24:20] rd   [19:15] rs1  [14:10] rs2
-    I/LOAD: [24:20] rd   [19:15] rs1  [14:0]  imm15 (signed)
-    LUI:    [24:20] rd   [19:0]  imm20 (unsigned, result = imm20 << 12)
-    STORE:  [19:15] rs1  [14:10] rs2  [9:0]   imm10 (signed)
-    BRANCH: [19:15] rs1  [14:10] rs2  [9:0]   imm10 (signed word offset)
-    JUMP:   [24:0]  imm25 (absolute word address)
-    JR:     [19:15] rs1
-    CSRR:   [24:20] rd   [19:15] csr
-    CSRW:   [24:20] csr  [19:15] rs1
+Bits [31:25] hold the opcode (7 bits, one per mnemonic).  The rest of
+each format's layout is :data:`FIELDS`, the one copy the encoder, the
+decoder and their range checks read.
 
 Stores and branches trade immediate range for the second source-register
 field, exactly like the S/B formats of mainstream RISC ISAs; test-program
@@ -22,75 +13,63 @@ such as the loading/execution loop back-edge of the cache-based wrapper.
 from __future__ import annotations
 
 from repro.errors import EncodingError
-from repro.isa.instructions import NUM_REGS, Format, Instruction, Mnemonic
-from repro.utils.bitops import to_signed, to_unsigned
+from repro.isa.instructions import SPECS, Format, Instruction, Mnemonic
 
 #: Stable opcode assignment: enumeration order of :class:`Mnemonic`.
 OPCODE_OF: dict[Mnemonic, int] = {m: i for i, m in enumerate(Mnemonic)}
 MNEMONIC_OF: dict[int, Mnemonic] = {i: m for m, i in OPCODE_OF.items()}
 
-IMM15_MIN, IMM15_MAX = -(1 << 14), (1 << 14) - 1
-IMM10_MIN, IMM10_MAX = -(1 << 9), (1 << 9) - 1
-IMM20_MAX = (1 << 20) - 1
-IMM25_MAX = (1 << 25) - 1
+_RD, _RS1, _RS2 = ("rd", 20, 5, False), ("rs1", 15, 5, False), ("rs2", 10, 5, False)
+
+#: Each format's bit fields below the opcode: ``(Instruction attribute,
+#: lsb, width, signed)``.  ``LUI``'s result is ``imm << 12``, a branch's
+#: ``imm`` is a word offset and a jump's an absolute word address; ``csr``
+#: fields are 5 bits wide.
+FIELDS: dict[Format, tuple[tuple[str, int, int, bool], ...]] = {
+    Format.R3: (_RD, _RS1, _RS2),
+    Format.I: (_RD, _RS1, ("imm", 0, 15, True)),
+    Format.LUI: (_RD, ("imm", 0, 20, False)),
+    Format.LOAD: (_RD, _RS1, ("imm", 0, 15, True)),
+    Format.STORE: (_RS1, _RS2, ("imm", 0, 10, True)),
+    Format.BRANCH: (_RS1, _RS2, ("imm", 0, 10, True)),
+    Format.JUMP: (("imm", 0, 25, False),),
+    Format.JR: (_RS1,),
+    Format.CSRR: (_RD, ("csr", 15, 5, False)),
+    Format.CSRW: (("csr", 20, 5, False), _RS1),
+    Format.SYS: (),
+}
 
 
-def _check_reg(value: int, name: str) -> int:
-    if not 0 <= value < NUM_REGS:
-        raise EncodingError(f"{name} out of range: r{value}")
-    return value
+def _bounds(width: int, signed: bool) -> tuple[int, int]:
+    if signed:
+        return -(1 << (width - 1)), (1 << (width - 1)) - 1
+    return 0, (1 << width) - 1
 
 
-def _check_range(value: int, low: int, high: int, name: str) -> int:
-    if not low <= value <= high:
-        raise EncodingError(f"{name}={value} outside [{low}, {high}]")
-    return value
+IMM15_MIN, IMM15_MAX = _bounds(15, True)
+IMM10_MIN, IMM10_MAX = _bounds(10, True)
+IMM20_MAX = _bounds(20, False)[1]
+IMM25_MAX = _bounds(25, False)[1]
+
+#: :data:`FIELDS` with each field's value range and mask worked out once.
+_LAYOUT = {
+    fmt: tuple(
+        (name, lsb, *_bounds(width, signed), (1 << width) - 1)
+        for name, lsb, width, signed in fields
+    )
+    for fmt, fields in FIELDS.items()
+}
 
 
 def encode(instr: Instruction) -> int:
     """Encode one instruction to its 32-bit word."""
-    opcode = OPCODE_OF[instr.mnemonic] << 25
-    fmt = instr.spec.format
-    if fmt is Format.R3:
-        return (
-            opcode
-            | _check_reg(instr.rd, "rd") << 20
-            | _check_reg(instr.rs1, "rs1") << 15
-            | _check_reg(instr.rs2, "rs2") << 10
-        )
-    if fmt in (Format.I, Format.LOAD):
-        imm = _check_range(instr.imm, IMM15_MIN, IMM15_MAX, "imm15")
-        return (
-            opcode
-            | _check_reg(instr.rd, "rd") << 20
-            | _check_reg(instr.rs1, "rs1") << 15
-            | to_unsigned(imm, 15)
-        )
-    if fmt is Format.LUI:
-        imm = _check_range(instr.imm, 0, IMM20_MAX, "imm20")
-        return opcode | _check_reg(instr.rd, "rd") << 20 | imm
-    if fmt in (Format.STORE, Format.BRANCH):
-        imm = _check_range(instr.imm, IMM10_MIN, IMM10_MAX, "imm10")
-        return (
-            opcode
-            | _check_reg(instr.rs1, "rs1") << 15
-            | _check_reg(instr.rs2, "rs2") << 10
-            | to_unsigned(imm, 10)
-        )
-    if fmt is Format.JUMP:
-        imm = _check_range(instr.imm, 0, IMM25_MAX, "imm25")
-        return opcode | imm
-    if fmt is Format.JR:
-        return opcode | _check_reg(instr.rs1, "rs1") << 15
-    if fmt is Format.CSRR:
-        csr = _check_range(instr.csr, 0, 31, "csr")
-        return opcode | _check_reg(instr.rd, "rd") << 20 | csr << 15
-    if fmt is Format.CSRW:
-        csr = _check_range(instr.csr, 0, 31, "csr")
-        return opcode | csr << 20 | _check_reg(instr.rs1, "rs1") << 15
-    if fmt is Format.SYS:
-        return opcode
-    raise EncodingError(f"unhandled format {fmt}")  # pragma: no cover
+    word = OPCODE_OF[instr.mnemonic] << 25
+    for name, lsb, low, high, mask in _LAYOUT[instr.spec.format]:
+        value = getattr(instr, name)
+        if not low <= value <= high:
+            raise EncodingError(f"{name}={value} outside [{low}, {high}]")
+        word |= (value & mask) << lsb
+    return word
 
 
 def decode(word: int) -> Instruction:
@@ -101,26 +80,9 @@ def decode(word: int) -> Instruction:
     mnemonic = MNEMONIC_OF.get(opcode)
     if mnemonic is None:
         raise EncodingError(f"unknown opcode {opcode} in word {word:#010x}")
-    fmt = Instruction(mnemonic).spec.format
-    rd = (word >> 20) & 0x1F
-    rs1 = (word >> 15) & 0x1F
-    rs2 = (word >> 10) & 0x1F
-    if fmt is Format.R3:
-        return Instruction(mnemonic, rd=rd, rs1=rs1, rs2=rs2)
-    if fmt in (Format.I, Format.LOAD):
-        return Instruction(mnemonic, rd=rd, rs1=rs1, imm=to_signed(word & 0x7FFF, 15))
-    if fmt is Format.LUI:
-        return Instruction(mnemonic, rd=rd, imm=word & 0xF_FFFF)
-    if fmt in (Format.STORE, Format.BRANCH):
-        return Instruction(
-            mnemonic, rs1=rs1, rs2=rs2, imm=to_signed(word & 0x3FF, 10)
-        )
-    if fmt is Format.JUMP:
-        return Instruction(mnemonic, imm=word & 0x1FF_FFFF)
-    if fmt is Format.JR:
-        return Instruction(mnemonic, rs1=rs1)
-    if fmt is Format.CSRR:
-        return Instruction(mnemonic, rd=rd, csr=rs1)
-    if fmt is Format.CSRW:
-        return Instruction(mnemonic, csr=rd, rs1=rs1)
-    return Instruction(mnemonic)
+    fields = {}
+    for name, lsb, _, high, mask in _LAYOUT[SPECS[mnemonic].format]:
+        value = (word >> lsb) & mask
+        # Only a signed field's range stops short of its mask.
+        fields[name] = value - mask - 1 if value > high else value
+    return Instruction(mnemonic, **fields)

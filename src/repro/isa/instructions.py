@@ -15,8 +15,11 @@ ISA the simulator executes: a small RISC instruction set with
   pipeline synchronisation.
 
 Each mnemonic is described by an :class:`InstrSpec` (format, register
-reads/writes, structural class, trap event) so the decoder, assembler,
-encoder and test-program generators all share one source of truth.
+writes, structural class, trap event).  Each format's operands are
+listed once, in :data:`OPERANDS`: the printer, the assembler, the
+register reads and test-program generators all read that one table, and
+the encoder and decoder read its bit-level twin,
+``repro.isa.encoding.FIELDS``.
 """
 
 from __future__ import annotations
@@ -71,19 +74,49 @@ CACHECFG_WRITE_ALLOCATE = 1 << 2
 
 
 class Format(enum.Enum):
-    """Operand/encoding format of a mnemonic."""
+    """Operand/encoding format of a mnemonic (operands: :data:`OPERANDS`)."""
 
-    R3 = "r3"  # rd, rs1, rs2
-    I = "i"  # rd, rs1, imm15  # noqa: E741 - conventional format name
-    LUI = "lui"  # rd, imm20
-    LOAD = "load"  # rd, imm15(rs1)
-    STORE = "store"  # rs2, imm10(rs1)
-    BRANCH = "branch"  # rs1, rs2, imm10 (word offset)
-    JUMP = "jump"  # imm25 (absolute word address)
-    JR = "jr"  # rs1
-    CSRR = "csrr"  # rd, csr
-    CSRW = "csrw"  # csr, rs1
-    SYS = "sys"  # no operands
+    R3 = "r3"
+    I = "i"  # noqa: E741 - conventional format name
+    LUI = "lui"
+    LOAD = "load"
+    STORE = "store"
+    BRANCH = "branch"
+    JUMP = "jump"
+    JR = "jr"
+    CSRR = "csrr"
+    CSRW = "csrw"
+    SYS = "sys"
+
+
+#: Each format's operands in assembly order: the one operand layout the
+#: printer, the assembler's parser and ``source_regs`` read (the bit
+#: layout is ``repro.isa.encoding.FIELDS``).  ``rd``/``rs1``/``rs2`` are
+#: registers, ``imm`` a signed or unsigned immediate, ``imm(rs1)`` a
+#: base-plus-offset memory operand, ``csr`` a :class:`Csr` name and
+#: ``target`` a label or number: a branch's word offset, or a jump's
+#: absolute byte address.
+OPERANDS: dict[Format, tuple[str, ...]] = {
+    Format.R3: ("rd", "rs1", "rs2"),
+    Format.I: ("rd", "rs1", "imm"),
+    Format.LUI: ("rd", "imm"),
+    Format.LOAD: ("rd", "imm(rs1)"),
+    Format.STORE: ("rs2", "imm(rs1)"),
+    Format.BRANCH: ("rs1", "rs2", "target"),
+    Format.JUMP: ("target",),
+    Format.JR: ("rs1",),
+    Format.CSRR: ("rd", "csr"),
+    Format.CSRW: ("csr", "rs1"),
+    Format.SYS: (),
+}
+
+#: Register reads per format, counted from :data:`OPERANDS` once: every
+#: format that reads ``rs2`` also reads ``rs1``, so the reads are a
+#: prefix of ``(rs1, rs2)``.
+_READS: dict[Format, int] = {
+    fmt: sum(reg in op for op in operands for reg in ("rs1", "rs2"))
+    for fmt, operands in OPERANDS.items()
+}
 
 
 class Mnemonic(enum.Enum):
@@ -306,25 +339,9 @@ class Instruction:
 
     @_decoded
     def _source_regs(self) -> tuple[int, ...]:
-        spec = self.spec
-        fmt = spec.format
-        if fmt is Format.R3:
-            if spec.is_64bit:
-                return (self.rs1, self.rs1 + 1, self.rs2, self.rs2 + 1)
-            return (self.rs1, self.rs2)
-        if fmt is Format.I:
-            return (self.rs1,)
-        if fmt is Format.LOAD:
-            return (self.rs1,)
-        if fmt is Format.STORE:
-            return (self.rs1, self.rs2)
-        if fmt is Format.BRANCH:
-            return (self.rs1, self.rs2)
-        if fmt is Format.JR:
-            return (self.rs1,)
-        if fmt is Format.CSRW:
-            return (self.rs1,)
-        return ()
+        if self.spec.is_64bit:
+            return (self.rs1, self.rs1 + 1, self.rs2, self.rs2 + 1)
+        return (self.rs1, self.rs2)[: _READS[self.spec.format]]
 
     @_decoded
     def _dest_regs(self) -> tuple[int, ...]:
@@ -346,58 +363,35 @@ class Instruction:
         """Architectural registers written (register pair on 64-bit ops)."""
         return self._dest_regs
 
-    def forwarding_operands(self) -> tuple[int, ...]:
-        """Registers whose values feed the EX-stage operand muxes.
-
-        These are the consumers of the forwarding network: ALU operands,
-        the load/store base register and the store data register.  Branch
-        comparisons resolve in EX too.  64-bit operations consume the low
-        word through operand port 1/2 and the high word through the same
-        port one "lane" wider; the recorder treats the pair as one wide
-        operand.
-        """
-        spec = self.spec
-        fmt = spec.format
-        if fmt is Format.R3:
-            return (self.rs1, self.rs2)
-        if fmt in (Format.I, Format.LOAD, Format.JR, Format.CSRW):
-            return (self.rs1,)
-        if fmt in (Format.STORE, Format.BRANCH):
-            return (self.rs1, self.rs2)
-        return ()
-
     def __str__(self) -> str:
         return format_instruction(self)
 
 
+def _target(instr: Instruction) -> str:
+    if instr.label:
+        return instr.label
+    if instr.spec.format is Format.JUMP:
+        return hex(instr.imm * 4)  # absolute word address, as a byte address
+    return str(instr.imm)  # branch word offset
+
+
+#: One printer per operand kind of :data:`OPERANDS`.
+_PRINT = {
+    "rd": lambda instr: f"r{instr.rd}",
+    "rs1": lambda instr: f"r{instr.rs1}",
+    "rs2": lambda instr: f"r{instr.rs2}",
+    "imm": lambda instr: str(instr.imm),
+    "imm(rs1)": lambda instr: f"{instr.imm}(r{instr.rs1})",
+    "csr": lambda instr: Csr(instr.csr).name.lower(),
+    "target": _target,
+}
+
+
 def format_instruction(instr: Instruction) -> str:
     """Render an instruction in the assembler's text syntax."""
-    m = instr.mnemonic
-    fmt = instr.spec.format
-    name = m.value
-    if fmt is Format.R3:
-        return f"{name} r{instr.rd}, r{instr.rs1}, r{instr.rs2}"
-    if fmt is Format.I:
-        return f"{name} r{instr.rd}, r{instr.rs1}, {instr.imm}"
-    if fmt is Format.LUI:
-        return f"{name} r{instr.rd}, {instr.imm}"
-    if fmt is Format.LOAD:
-        return f"{name} r{instr.rd}, {instr.imm}(r{instr.rs1})"
-    if fmt is Format.STORE:
-        return f"{name} r{instr.rs2}, {instr.imm}(r{instr.rs1})"
-    if fmt is Format.BRANCH:
-        target = instr.label if instr.label else str(instr.imm)
-        return f"{name} r{instr.rs1}, r{instr.rs2}, {target}"
-    if fmt is Format.JUMP:
-        target = instr.label if instr.label else hex(instr.imm * 4)
-        return f"{name} {target}"
-    if fmt is Format.JR:
-        return f"{name} r{instr.rs1}"
-    if fmt is Format.CSRR:
-        return f"{name} r{instr.rd}, {Csr(instr.csr).name.lower()}"
-    if fmt is Format.CSRW:
-        return f"{name} {Csr(instr.csr).name.lower()}, r{instr.rs1}"
-    return name
+    operands = ", ".join(_PRINT[op](instr) for op in OPERANDS[instr.spec.format])
+    name = instr.mnemonic.value
+    return f"{name} {operands}" if operands else name
 
 
 def nop() -> Instruction:

@@ -263,6 +263,14 @@ MUTANTS = (
         "        self.emit_body(asm, replace(ctx, testwin_reg=None))\n",
         ("tests/test_program_images.py::test_program_images_match_pinned_digests",),
     ),
+    Mutant(
+        "STORE fields swap rs1 and rs2",
+        "src/repro/isa/encoding.py",
+        '    Format.STORE: (_RS1, _RS2, ("imm", 0, 10, True)),\n',
+        '    Format.STORE: (("rs1", 10, 5, False), ("rs2", 15, 5, False),'
+        ' ("imm", 0, 10, True)),\n',
+        ("tests/test_program_images.py::test_program_images_match_pinned_digests",),
+    ),
 )
 
 

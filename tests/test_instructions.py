@@ -60,14 +60,6 @@ def test_branch_reads_both_operands():
     assert instr.spec.is_branch
 
 
-def test_forwarding_operands_subset_of_sources():
-    for mnemonic in Mnemonic:
-        instr = Instruction(mnemonic, rd=3, rs1=4, rs2=5)
-        fwd = instr.forwarding_operands()
-        if not instr.spec.is_64bit:
-            assert set(fwd) <= set(instr.source_regs())
-
-
 def test_system_instructions_flagged():
     for mnemonic in (Mnemonic.CSRR, Mnemonic.CSRW, Mnemonic.HALT,
                      Mnemonic.ICINV, Mnemonic.DCINV, Mnemonic.SYNC):
