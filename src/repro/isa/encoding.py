@@ -23,8 +23,7 @@ _RD, _RS1, _RS2 = ("rd", 20, 5, False), ("rs1", 15, 5, False), ("rs2", 10, 5, Fa
 
 #: Each format's bit fields below the opcode: ``(Instruction attribute,
 #: lsb, width, signed)``.  ``LUI``'s result is ``imm << 12``, a branch's
-#: ``imm`` is a word offset and a jump's an absolute word address; ``csr``
-#: fields are 5 bits wide.
+#: ``imm`` is a word offset and a jump's an absolute word address.
 FIELDS: dict[Format, tuple[tuple[str, int, int, bool], ...]] = {
     Format.R3: (_RD, _RS1, _RS2),
     Format.I: (_RD, _RS1, ("imm", 0, 15, True)),
