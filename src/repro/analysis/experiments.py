@@ -23,7 +23,7 @@ from repro.core.determinism import (
 )
 from repro.core.golden import DEFAULT_MAX_CYCLES, finalise_with_expected, run_alone
 from repro.core.tcm_wrapper import build_tcm_wrapped
-from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C, CoreModel
+from repro.cpu.core import CoreModel
 from repro.cpu.trace import render_pipeline_diagram
 from repro.errors import SimulationError
 from repro.faults.campaign import (
@@ -34,6 +34,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.generators import get_modules
 from repro.faults.orchestrator import run_parallel_checkpointed_campaign
+from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS as MODELS
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
 from repro.soc.debugger import StallMonitor, StallReport
@@ -47,8 +48,6 @@ from repro.stl.routine import RoutineContext
 from repro.stl.routines.forwarding import make_forwarding_routine
 from repro.stl.routines.interrupts import make_interrupt_routine
 from repro.utils.tables import format_table
-
-MODELS: dict[int, CoreModel] = {0: CORE_MODEL_A, 1: CORE_MODEL_B, 2: CORE_MODEL_C}
 
 #: Paper reference values (for side-by-side rendering only).
 PAPER_TABLE1 = {1: (200_679, 117_965), 2: (717_538, 305_801), 3: (1_878_336, 663_386)}

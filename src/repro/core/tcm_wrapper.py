@@ -24,6 +24,7 @@ from repro.errors import ValidationError
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.program import Program
 from repro.mem.memmap import itcm_base
+from repro.soc.config import DEFAULT_SOC_CONFIG
 from repro.soc.soc import Soc
 from repro.stl.conventions import LINK_REG
 from repro.stl.packets import PhasedBuilder
@@ -77,8 +78,7 @@ def build_tcm_wrapped(
     """Build the full TCM deployment of ``routine`` for one core."""
     tcm_address = itcm_base(ctx.core_index) + tcm_offset
     body = build_tcm_body(routine, tcm_address, ctx)
-    core_tcm_size = 16 << 10
-    if tcm_offset + body.size_bytes > core_tcm_size:
+    if tcm_offset + body.size_bytes > DEFAULT_SOC_CONFIG.tcm_size:
         raise ValidationError(
             f"{routine.name}: body of {body.size_bytes} B does not fit the "
             f"I-TCM at offset {tcm_offset:#x}"

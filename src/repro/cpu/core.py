@@ -92,9 +92,9 @@ class Core:
         core_id: int,
         model: CoreModel,
         bus: SystemBus,
-        icache_config: CacheConfig = ICACHE_CONFIG,
-        dcache_config: CacheConfig = DCACHE_CONFIG,
-        tcm_size: int = 16 << 10,
+        icache_config: CacheConfig,
+        dcache_config: CacheConfig,
+        tcm_size: int,
     ):
         self.core_id = core_id
         self.model = model

@@ -280,10 +280,6 @@ class CoreModules:
     def hdcu_fault_count(self) -> int:
         return sum(w for faults in self.hdcu_faults.values() for _, w in faults)
 
-    @property
-    def icu_fault_count(self) -> int:
-        return sum(w for _, w in self.icu_faults)
-
 
 _MODULE_CACHE: dict[str, CoreModules] = {}
 

@@ -16,7 +16,7 @@ from repro.mem.device import MemoryDevice
 class Tcm(MemoryDevice):
     """A private single-cycle scratchpad memory."""
 
-    def __init__(self, name: str, base: int, size: int = 16 << 10):
+    def __init__(self, name: str, base: int, size: int):
         super().__init__(name, base, size, latency=1)
         self.reserved_bytes = 0
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from repro.core.cache_wrapper import CacheWrapperOptions, cache_wrapped_builder
 from repro.core.golden import finalise_with_expected
-from repro.cpu.core import CORE_MODEL_A, CORE_MODEL_B, CORE_MODEL_C
 from repro.faults.soft_errors import ExecutionEntryCorruption, SoftErrorInjector
+from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS as MODELS
 from repro.soc.loader import CodeAlignment, CodePosition, placement_address
 from repro.soc.soc import Soc
 from repro.soc.supervisor import RoutineSpec, TestSupervisor
@@ -35,8 +35,6 @@ from repro.stl.routine import RoutineContext, TestRoutine
 from repro.stl.routines.forwarding import make_forwarding_routine
 from repro.stl.signature import emit_signature_update
 from repro.telemetry.session import TelemetrySession
-
-MODELS = {0: CORE_MODEL_A, 1: CORE_MODEL_B, 2: CORE_MODEL_C}
 
 #: Seed for the recovery scenario's injector (reproducible trace).
 RECOVERY_SEED = 2024

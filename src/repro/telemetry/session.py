@@ -52,19 +52,12 @@ class TelemetrySession:
     # ------------------------------------------------------------------
 
     @classmethod
-    def attach(
-        cls,
-        soc,
-        keep_events: bool = True,
-        drop_kinds=DEFAULT_DROP_KINDS,
-        capacity: int | None = None,
-    ) -> "TelemetrySession":
+    def attach(cls, soc, keep_events: bool = True) -> "TelemetrySession":
         """Instrument ``soc`` and return the live session.
 
         ``keep_events=False`` keeps only the aggregated views (metrics +
-        audit) — the right mode for long campaigns.  ``capacity`` bounds
-        the recorded stream; overflow increments ``sink.dropped`` rather
-        than growing without limit.
+        audit) — the right mode for long campaigns.  The recorded stream
+        leaves out :data:`DEFAULT_DROP_KINDS` and is unbounded.
         """
         metrics = MetricsCollector()
         auditor = DeterminismAuditor()
@@ -72,8 +65,7 @@ class TelemetrySession:
             clock=lambda: soc.cycle,
             subscribers=(metrics, auditor),
             keep_events=keep_events,
-            drop_kinds=drop_kinds,
-            capacity=capacity,
+            drop_kinds=DEFAULT_DROP_KINDS,
         )
         session = cls(soc, sink, metrics, auditor)
         session._wire(sink)
