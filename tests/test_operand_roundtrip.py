@@ -32,7 +32,7 @@ from repro.isa.instructions import (
 )
 
 #: Immediate range of each format that has an immediate (test-local,
-#: written from the documented encoding, not read from the encoder).
+#: written from the documented encoding, not read from ``FIELDS``).
 IMM_RANGE = {
     Format.I: (IMM15_MIN, IMM15_MAX),
     Format.LOAD: (IMM15_MIN, IMM15_MAX),
