@@ -271,6 +271,14 @@ MUTANTS = (
         ' ("imm", 0, 10, True)),\n',
         ("tests/test_program_images.py::test_program_images_match_pinned_digests",),
     ),
+    Mutant(
+        "PhaseTracker ignores core.halt",
+        "src/repro/telemetry/phases.py",
+        "        elif kind is EventKind.CORE_HALT:\n"
+        "            self._phase[event.core] = PHASE_IDLE\n",
+        "",
+        ("tests/test_trace_digests.py::test_trace_exports_match_pinned_digests",),
+    ),
 )
 
 
