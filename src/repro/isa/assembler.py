@@ -19,8 +19,9 @@ Register operands are ``r0`` ... ``r31`` (``zero`` aliases ``r0``).
 
 from __future__ import annotations
 
-from repro.errors import AssemblyError
+from repro.errors import AssemblyError, EncodingError
 from repro.isa.builder import AsmBuilder
+from repro.isa.encoding import encode
 from repro.isa.instructions import (
     OPERANDS,
     SPECS,
@@ -111,12 +112,22 @@ def _emit(
     for kind, text in zip(kinds, operands):
         fields.update(_PARSE[kind](text, lineno))
     if fmt is Format.JUMP and "imm" in fields:
-        fields["imm"] //= 4  # written as a byte address, encoded as a word address
+        # Written as a byte address, encoded as a word address.
+        if fields["imm"] % 4:
+            raise AssemblyError(
+                f"jump target {fields['imm']:#x} is not word-aligned", lineno
+            )
+        fields["imm"] //= 4
     instr = Instruction(mnemonic, **fields)
     if instr.label:
         builder.emit_to_label(instr)
-    else:
-        builder.emit(instr)
+        return
+    # Reject at the line what the encoder would reject at build time.
+    try:
+        encode(instr)
+    except EncodingError as exc:
+        raise AssemblyError(str(exc), lineno) from None
+    builder.emit(instr)
 
 
 def _reg(text: str, lineno: int) -> int:

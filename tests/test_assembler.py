@@ -74,6 +74,22 @@ def test_errors_carry_line_numbers():
         assemble("csrr r1, nonsense\n")
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param("addi r1, r2, 99999", id="addi-imm"),
+        pytest.param("lw r1, 99999(r2)", id="lw-offset"),
+        pytest.param("sw r1, 600(r2)", id="sw-offset"),
+        pytest.param("lui r1, 0x100000", id="lui-imm"),
+        pytest.param("j -4", id="j-negative"),
+        pytest.param("j 0x1002", id="j-unaligned"),
+    ],
+)
+def test_unencodable_instruction_rejected_at_its_line(source):
+    with pytest.raises(AssemblyError, match="line 1"):
+        assemble(source + "\nhalt\n")
+
+
 def test_org_after_code_rejected():
     with pytest.raises(AssemblyError):
         assemble("nop\n.org 0x100\n")
