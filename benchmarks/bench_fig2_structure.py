@@ -19,9 +19,9 @@ def test_fig2_structure(benchmark, emit):
     # fully cache-resident.
     assert result.loading_loop_fills > 0
     assert result.execution_loop_fills == 0
-    # The loading loop's activations never count as observable.
-    assert result.loading_loop_observable_records > 0
-    assert result.execution_loop_observable_records > 0
+    # Activations outside the test window never count as observable.
+    assert result.outside_window_records > 0
+    assert result.observable_records > 0
     # Deterministic result: the execution loop reproduces the golden
     # single-core signature exactly.
     assert result.signature_matches_single_core

@@ -22,6 +22,7 @@ from repro.core.determinism import (
     single_core_scenarios,
 )
 from repro.core.golden import DEFAULT_MAX_CYCLES, finalise_with_expected, run_alone
+from repro.core.report import signature_stability
 from repro.core.tcm_wrapper import build_tcm_wrapped
 from repro.cpu.core import CoreModel
 from repro.cpu.trace import render_pipeline_diagram
@@ -35,18 +36,20 @@ from repro.faults.campaign import (
 from repro.faults.generators import get_modules
 from repro.faults.orchestrator import run_parallel_checkpointed_campaign
 from repro.faults.workload import DEFAULT_CAMPAIGN_MODELS as MODELS
+from repro.faults.workload import forwarding_builders
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.soc.config import DEFAULT_SOC_CONFIG, SocConfig
 from repro.soc.debugger import StallMonitor, StallReport
 from repro.soc.loader import CodeAlignment, CodePosition, placement_address
 from repro.soc.scheduler import ParallelSchedule, load_parallel_session
 from repro.soc.soc import Soc
-from repro.stl.conventions import RESULT_FAIL, RESULT_PASS
 from repro.stl.library import build_library
 from repro.stl.packets import PhasedBuilder
 from repro.stl.routine import RoutineContext
 from repro.stl.routines.forwarding import make_forwarding_routine
 from repro.stl.routines.interrupts import make_interrupt_routine
+from repro.telemetry.phases import PHASE_EXECUTION, PHASE_LOADING
+from repro.telemetry.session import TelemetrySession
 from repro.utils.tables import format_table
 
 #: Paper reference values (for side-by-side rendering only).
@@ -219,19 +222,14 @@ def table2_forwarding(
     """FC oscillation without caches vs. stable FC with the wrapper."""
     if scenarios is None:
         scenarios = default_scenarios()
-    contexts = {i: RoutineContext.for_core(i, m) for i, m in MODELS.items()}
     plain = {
-        i: make_forwarding_routine(m, with_pcs=False).builder_for(contexts[i])
-        for i, m in MODELS.items()
-    }
-    wrapped = {
-        i: cache_wrapped_builder(
-            make_forwarding_routine(m, with_pcs=False), contexts[i]
+        i: make_forwarding_routine(m, with_pcs=False).builder_for(
+            RoutineContext.for_core(i, m)
         )
         for i, m in MODELS.items()
     }
     plain_fc = _forwarding_campaign(plain, scenarios, soc_config)
-    wrapped_fc = _forwarding_campaign(wrapped, scenarios, soc_config)
+    wrapped_fc = _forwarding_campaign(forwarding_builders(), scenarios, soc_config)
     result = Table2Result()
     # A core active in no scenario has no coverage range, hence no row.
     for core_id, model in MODELS.items():
@@ -399,18 +397,7 @@ def table3_icu_hdcu(
                 if core_id in r.per_core
             ]
             cached = coverage_range(cached_covs)
-            passes = sum(
-                1
-                for r in plain_multi
-                if core_id in r.per_core
-                and r.per_core[core_id].mailbox == RESULT_PASS
-            )
-            fails = sum(
-                1
-                for r in plain_multi
-                if core_id in r.per_core
-                and r.per_core[core_id].mailbox == RESULT_FAIL
-            )
+            verdicts = signature_stability(plain_multi, core_id)
             result.rows.append(
                 Table3Row(
                     core=model.name,
@@ -418,8 +405,8 @@ def table3_icu_hdcu(
                     num_faults=single_cov.total_faults,
                     single_core_no_cache=single_cov.coverage_percent,
                     multicore_cached=cached.maximum_percent,
-                    no_cache_multicore_pass=passes,
-                    no_cache_multicore_fail=fails,
+                    no_cache_multicore_pass=verdicts.pass_count,
+                    no_cache_multicore_fail=verdicts.fail_count,
                 )
             )
     return result
@@ -599,8 +586,9 @@ class Fig2Result:
     single_size_bytes: int
     loading_loop_fills: int
     execution_loop_fills: int
-    loading_loop_observable_records: int
-    execution_loop_observable_records: int
+    #: Activations recorded outside the test window (never observable).
+    outside_window_records: int
+    observable_records: int
     signature_matches_single_core: bool
 
     def render(self) -> str:
@@ -609,10 +597,10 @@ class Fig2Result:
             ("cache-based program size [B]", self.wrapped_size_bytes),
             ("I$ line fills during loading loop", self.loading_loop_fills),
             ("I$ line fills during execution loop", self.execution_loop_fills),
-            ("observable activations, loading loop",
-             self.loading_loop_observable_records),
-            ("observable activations, execution loop",
-             self.execution_loop_observable_records),
+            ("activations outside test window (unobservable)",
+             self.outside_window_records),
+            ("observable activations, in the test window",
+             self.observable_records),
             ("execution-loop signature == single-core golden",
              self.signature_matches_single_core),
         ]
@@ -641,26 +629,20 @@ def fig2_structure_audit(
     soc = Soc(soc_config)
     soc.load(wrapped)
     core = soc.cores[core_id]
+    # The metrics split every I-cache fill by the phase it happened in.
+    session = TelemetrySession.attach(soc, keep_events=False)
     soc.start_core(core_id, base)
-    # Run until the execution loop starts (TESTWIN turns 1), sampling
-    # the fill counter at the boundary.
-    loading_fills = None
-    for _ in range(DEFAULT_MAX_CYCLES):
-        soc.step()
-        if loading_fills is None and core.testwin & 1:
-            loading_fills = core.icache.stats.fills
-        if core.done:
-            break
-    total_fills = core.icache.stats.fills
+    soc.run(max_cycles=DEFAULT_MAX_CYCLES)
+    metrics = session.metrics.snapshot()
+    fills = f"{core.icache.config.name}.fills"
     observable = sum(1 for r in core.log.forwarding if r.observable)
-    unobservable = sum(1 for r in core.log.forwarding if not r.observable)
     golden = golden_signature(single, core_id, soc_config)
     return Fig2Result(
         wrapped_size_bytes=wrapped.size_bytes,
         single_size_bytes=single.size_bytes,
-        loading_loop_fills=loading_fills or 0,
-        execution_loop_fills=total_fills - (loading_fills or 0),
-        loading_loop_observable_records=unobservable,
-        execution_loop_observable_records=observable,
+        loading_loop_fills=metrics.get(core_id, PHASE_LOADING, fills),
+        execution_loop_fills=metrics.get(core_id, PHASE_EXECUTION, fills),
+        outside_window_records=len(core.log.forwarding) - observable,
+        observable_records=observable,
         signature_matches_single_core=core.regfile.read(SIG_REG) == golden,
     )

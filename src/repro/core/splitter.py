@@ -4,8 +4,9 @@
 it must be split into two or more smaller self-test procedures"
 (Section III).  The splitter partitions a routine's block emitters
 greedily: blocks are appended to the current part until the *wrapped*
-program (loading/execution loop included) would exceed the instruction
-cache, then a new part starts.  Splitting never drops a block, so the
+program (loading/execution loop included) would no longer fit the
+instruction cache (:func:`repro.core.validator.residency_violation`),
+then a new part starts.  Splitting never drops a block, so the
 union of the parts applies exactly the original pattern set — "it does
 not compromise the fault coverage of the original single-core test
 procedure".
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from repro.core.cache_wrapper import CacheWrapperOptions, build_cache_wrapped
+from repro.core.validator import residency_violation
 from repro.errors import RoutineTooLargeError
 from repro.mem.cache import CacheConfig
 from repro.stl.packets import PhasedBuilder
@@ -41,15 +43,6 @@ def _compose(
             teardown(asm, ctx)
 
     return TestRoutine(name=name, module=module, emit_body=emit_body, uses_pcs=uses_pcs)
-
-
-def _wrapped_size(
-    routine: TestRoutine, ctx: RoutineContext, options: CacheWrapperOptions
-) -> int:
-    # The wrapped size is position-independent, so probing at any base
-    # is representative (constant materialisation uses fixed-width
-    # sequences for the addresses involved).
-    return build_cache_wrapped(routine, 0x1000, ctx, None, options).size_bytes
 
 
 def split_routine(
@@ -88,7 +81,11 @@ def split_routine(
         candidate = _compose(
             f"{name}_probe", module, setup, tuple(current) + (block,), teardown, uses_pcs
         )
-        if _wrapped_size(candidate, ctx, options) > icache.size_bytes:
+        # The wrapped size is position-independent, so probing at any base
+        # is representative (constant materialisation uses fixed-width
+        # sequences for the addresses involved).
+        probe = build_cache_wrapped(candidate, 0x1000, ctx, None, options)
+        if residency_violation(probe, icache) is not None:
             if not current:
                 raise RoutineTooLargeError(
                     f"{name}: block {index} alone exceeds the "

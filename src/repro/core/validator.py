@@ -48,6 +48,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def residency_violation(program: Program, icache: CacheConfig) -> str | None:
+    """Rule 2.2: why ``program`` cannot stay resident in ``icache``, or None.
+
+    The one fit test: the validator reports its verdict and the splitter
+    closes a part on it.
+    """
+    if program.size_bytes > icache.size_bytes:
+        return (
+            f"code ({program.size_bytes} B) exceeds the instruction cache "
+            f"({icache.size_bytes} B); split the routine (rule 2.2)"
+        )
+    return None
+
+
 def validate_cache_residency(
     program: Program, icache: CacheConfig
 ) -> ValidationReport:
@@ -57,11 +71,9 @@ def validate_cache_residency(
         code_bytes=program.size_bytes,
         cache_bytes=icache.size_bytes,
     )
-    if program.size_bytes > icache.size_bytes:
-        report.violations.append(
-            f"code ({program.size_bytes} B) exceeds the instruction cache "
-            f"({icache.size_bytes} B); split the routine (rule 2.2)"
-        )
+    violation = residency_violation(program, icache)
+    if violation is not None:
+        report.violations.append(violation)
     _check_branches(program, report)
     _check_jump_targets(program, report)
     return report

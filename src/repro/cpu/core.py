@@ -292,7 +292,6 @@ class Core:
         self.memwb_latch = self.exmem_latch
         self.exmem_latch = []
         for uop in self.memwb_latch:
-            uop.mem_cycle = cycle
             if uop.is_load or uop.is_store:
                 self.memunit.begin(uop, cycle)
 
@@ -357,7 +356,6 @@ class Core:
         self._seq += 1
         uop = Uop(
             seq=self._seq,
-            pc=pc,
             instr=instr,
             slot=slot,
             dests=instr.dest_regs(),

@@ -31,10 +31,8 @@ def can_dual_issue(first: Instruction, second: Instruction) -> bool:
     split the packet (the dependent instruction issues one cycle later
     and receives its operand over the cross-pipe EX->EX path).
     """
-    spec0, spec1 = first.spec, second.spec
-    if spec0.is_branch or spec0.is_system:
-        return False
-    if spec1.is_branch or spec1.is_system:
+    spec1 = second.spec
+    if first.spec.issues_alone or spec1.issues_alone:
         return False
     if spec1.is_mem or spec1.is_mul:
         return False

@@ -1,7 +1,7 @@
 """Pipeline trace rendering (reproduces the paper's Fig. 1 diagrams).
 
-With ``core.keep_trace = True`` every issued uop records the cycle it
-passed each stage; :func:`render_pipeline_diagram` turns a window of the
+With ``core.keep_trace = True`` every issued uop records its issue and
+write-back cycles; :func:`render_pipeline_diagram` turns a window of the
 trace into the classic instruction/cycle grid:
 
     add r7, r6, r5   | D  E  M  W        |
@@ -26,7 +26,6 @@ class TraceRow:
 
     text: str
     issue_cycle: int
-    mem_cycle: int
     wb_cycle: int
     selects: tuple[FwdSource, ...]
 
@@ -37,7 +36,6 @@ def trace_rows(uops: list[Uop]) -> list[TraceRow]:
         TraceRow(
             text=str(uop.instr),
             issue_cycle=uop.issue_cycle,
-            mem_cycle=uop.mem_cycle,
             wb_cycle=uop.wb_cycle,
             selects=tuple(uop.fwd_selects),
         )

@@ -20,7 +20,6 @@ class Uop:
     """
 
     seq: int
-    pc: int
     instr: Instruction
     slot: int
     dests: tuple[int, ...] = ()
@@ -36,7 +35,6 @@ class Uop:
     store_value: int = 0
     # Trace timestamps (cycle numbers; -1 = not reached).
     issue_cycle: int = -1
-    mem_cycle: int = -1
     wb_cycle: int = -1
     #: Forwarding selects used per operand port, for the Fig. 1 trace.
     fwd_selects: list = field(default_factory=list)

@@ -203,6 +203,9 @@ class InstrSpec:
         is_system: CSR / cache-control / barrier class (issues alone).
         writes_rd: architecturally writes the ``rd`` field.
         is_atomic: indivisible read-modify-write (bypasses the D-cache).
+        issues_alone: derived, ``is_branch or is_system``: the packet
+            rule of the dual-issue front end (such an instruction never
+            pairs, in either slot).
     """
 
     format: Format
@@ -216,6 +219,12 @@ class InstrSpec:
     is_system: bool = False
     writes_rd: bool = False
     is_atomic: bool = False
+    issues_alone: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        # A stored field, not a property: the issue stage reads it for
+        # every adjacent instruction pair.
+        object.__setattr__(self, "issues_alone", self.is_branch or self.is_system)
 
     @property
     def is_mem(self) -> bool:

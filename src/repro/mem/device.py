@@ -75,11 +75,6 @@ class MemoryDevice:
         """Read ``words`` consecutive 32-bit words starting at ``address``."""
         return [self.read_word(address + 4 * i) for i in range(words)]
 
-    def load_image(self, image: dict[int, int]) -> None:
-        """Bulk-initialise contents from an address -> word mapping."""
-        for address, word in image.items():
-            self.write_word(address, word)
-
     # ------------------------------------------------------------------
     # Soft-error injection (see repro.faults.soft_errors).
     # ------------------------------------------------------------------

@@ -60,10 +60,6 @@ class Flash(MemoryDevice):
         self._check(address)
         self._words[address & ~3] = value & 0xFFFF_FFFF
 
-    def load_image(self, image: dict[int, int]) -> None:
-        for address, word in image.items():
-            self.program_word(address, word)
-
     def reset_buffer(self) -> None:
         """Invalidate the prefetch buffers (e.g. at SoC reset)."""
         self._buffered_lines.clear()

@@ -37,12 +37,9 @@ class PhasedBuilder(AsmBuilder):
     def _feed(self, instr: Instruction) -> None:
         pending = self._packet_pending
         if pending is None:
-            spec = instr.spec
-            if spec.is_branch or spec.is_system:
-                # Issues alone; the next instruction starts a packet.
-                self._packet_pending = None
-            else:
-                self._packet_pending = instr
+            # An instruction that issues alone leaves the next one to
+            # start a packet.
+            self._packet_pending = None if instr.spec.issues_alone else instr
             return
         if can_dual_issue(pending, instr):
             self._packet_pending = None
@@ -59,9 +56,7 @@ class PhasedBuilder(AsmBuilder):
     def align(self) -> None:
         """Pad with a NOP if needed so the next instruction opens a packet."""
         if self._packet_pending is not None:
-            self.nop()
-            if self._packet_pending is not None:  # pragma: no cover - NOP always pairs
-                self._packet_pending = None
+            self.nop()  # A NOP always pairs, closing the packet.
 
     def packet(self, *instrs: Instruction) -> None:
         """Emit one full issue packet (1 or 2 instructions).
@@ -83,6 +78,5 @@ class PhasedBuilder(AsmBuilder):
             return
         only = instrs[0]
         self.emit(only)
-        spec = only.spec
-        if not (spec.is_branch or spec.is_system):
+        if not only.spec.issues_alone:
             self.nop()

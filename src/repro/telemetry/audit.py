@@ -57,9 +57,10 @@ class AuditViolation:
 class DeterminismAuditor:
     """Live subscriber that checks the execution-window bus-silence rule.
 
-    ``windows_opened`` counts, per core, how many times TESTWIN bit 0
-    went 0 -> 1: an audit that "passes" without ever seeing a window
-    proves nothing, so :meth:`summary` reports both.
+    ``windows_opened`` counts, per core, how many times the core's phase
+    changed into ``execution`` (TESTWIN bit 0 went 0 -> 1): an audit that
+    "passes" without ever seeing a window proves nothing, so
+    :meth:`summary` reports both.
     """
 
     #: Cap on violations kept with full event payloads (the counters
@@ -71,7 +72,6 @@ class DeterminismAuditor:
         self.violations: list[AuditViolation] = []
         self.violation_count = 0
         self.windows_opened: dict[int, int] = {}
-        self.window_bus_events: dict[int, int] = {}
 
     # -- event feed -----------------------------------------------------
 
@@ -81,9 +81,6 @@ class DeterminismAuditor:
             core = event.core
             if self._tracker.in_execution_window(core):
                 self.violation_count += 1
-                self.window_bus_events[core] = (
-                    self.window_bus_events.get(core, 0) + 1
-                )
                 if len(self.violations) < self.MAX_RECORDED_VIOLATIONS:
                     self.violations.append(
                         AuditViolation(
@@ -94,16 +91,10 @@ class DeterminismAuditor:
                         )
                     )
             return
-        if kind is EventKind.CORE_TESTWIN:
-            if event.fields.get("value", 0) & 1 and not (
-                event.fields.get("prev", 0) & 1
-            ):
-                core = event.core
-                self.windows_opened[core] = self.windows_opened.get(core, 0) + 1
-        elif kind is EventKind.CORE_START and event.fields.get("testwin", 0) & 1:
-            core = event.core
+        core = event.core
+        tracker = self._tracker
+        if tracker.on_event(event) is not None and tracker.in_execution_window(core):
             self.windows_opened[core] = self.windows_opened.get(core, 0) + 1
-        self._tracker.on_event(event)
 
     # -- verdict --------------------------------------------------------
 

@@ -8,9 +8,10 @@ array form:
 * every completed bus transaction becomes a duration slice (``"X"``) on
   the bus track, spanning grant -> completion, with submit/wait/burst
   details in ``args``;
-* each core's loading/execution windows (from TESTWIN transitions)
-  become duration slices on that core's track, so the phase structure
-  of the wrapper is visible at a glance;
+* each core's loading/execution windows (the phase changes
+  :class:`~repro.telemetry.phases.PhaseTracker` reports) become duration
+  slices on that core's track, so the phase structure of the wrapper is
+  visible at a glance;
 * everything else (cache misses/fills, retries, supervisor decisions,
   fault injections, ...) becomes an instant event (``"i"``) on the
   attributed core's track.
@@ -26,6 +27,7 @@ import json
 from pathlib import Path
 
 from repro.telemetry.events import EventKind, TelemetryEvent
+from repro.telemetry.phases import PHASE_EVENT_KINDS, PHASE_IDLE, PhaseTracker
 
 #: Track ids inside the single exported process.
 PID = 1
@@ -36,17 +38,12 @@ def _core_tid(core: int) -> int:
     return core + 1
 
 
-_PHASE_EVENT_KINDS = (
-    EventKind.CORE_START,
-    EventKind.CORE_TESTWIN,
-    EventKind.CORE_HALT,
-)
-
 #: Kinds that never become their own trace entries (bus submits/grants
 #: are folded into the completion slice; phase kinds become windows).
 _FOLDED_KINDS = (
     EventKind.BUS_SUBMIT,
     EventKind.BUS_GRANT,
+    *PHASE_EVENT_KINDS,
 )
 
 
@@ -85,6 +82,7 @@ def chrome_trace_events(
         )
 
     last_cycle = max((e.cycle for e in events), default=0)
+    tracker = PhaseTracker()
     #: Open phase window per core: (name, start_cycle).
     open_window: dict[int, tuple[str, int]] = {}
 
@@ -106,23 +104,14 @@ def chrome_trace_events(
         )
 
     for event in events:
+        if tracker.on_event(event) is not None:
+            core = event.core
+            close_window(core, event.cycle)
+            phase = tracker.phase(core)
+            if phase != PHASE_IDLE:
+                open_window[core] = (f"{phase} loop", event.cycle)
         kind = event.kind
         if kind in _FOLDED_KINDS:
-            continue
-        if kind in _PHASE_EVENT_KINDS:
-            core = event.core
-            if kind is EventKind.CORE_HALT:
-                close_window(core, event.cycle)
-            else:
-                testwin = event.fields.get(
-                    "value", event.fields.get("testwin", 0)
-                )
-                name = "execution loop" if testwin & 1 else "loading loop"
-                current = open_window.get(core)
-                if current is not None and current[0] == name:
-                    continue
-                close_window(core, event.cycle)
-                open_window[core] = (name, event.cycle)
             continue
         if kind in (EventKind.BUS_COMPLETE, EventKind.BUS_ERROR):
             grant = event.fields.get("grant", event.cycle)

@@ -275,9 +275,37 @@ MUTANTS = (
         "PhaseTracker ignores core.halt",
         "src/repro/telemetry/phases.py",
         "        elif kind is EventKind.CORE_HALT:\n"
-        "            self._phase[event.core] = PHASE_IDLE\n",
+        "            phase = PHASE_IDLE\n",
         "",
         ("tests/test_trace_digests.py::test_trace_exports_match_pinned_digests",),
+    ),
+    Mutant(
+        "issues_alone ignores is_system",
+        "src/repro/isa/instructions.py",
+        'object.__setattr__(self, "issues_alone", self.is_branch or self.is_system)\n',
+        'object.__setattr__(self, "issues_alone", self.is_branch)\n',
+        (
+            "tests/test_program_images.py::test_program_images_match_pinned_digests",
+            "tests/test_pattern_digests.py::test_timing_matches_pinned_digests",
+        ),
+    ),
+    Mutant(
+        "assembler skips the range check",
+        "src/repro/isa/assembler.py",
+        "        encode(instr)\n",
+        "        pass\n",
+        (
+            "tests/test_assembler.py"
+            "::test_unencodable_instruction_rejected_at_its_line[addi-imm]",
+            "tests/test_assembler.py"
+            "::test_unencodable_instruction_rejected_at_its_line[lw-offset]",
+            "tests/test_assembler.py"
+            "::test_unencodable_instruction_rejected_at_its_line[sw-offset]",
+            "tests/test_assembler.py"
+            "::test_unencodable_instruction_rejected_at_its_line[lui-imm]",
+            "tests/test_assembler.py"
+            "::test_unencodable_instruction_rejected_at_its_line[j-negative]",
+        ),
     ),
 )
 

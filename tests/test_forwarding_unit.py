@@ -12,7 +12,6 @@ def make_uop(seq, dest, value, slot=0, is_load=False, ready=True, is64=False):
     dests = (dest, dest + 1) if is64 else (dest,)
     return Uop(
         seq=seq,
-        pc=0,
         instr=instr,
         slot=slot,
         dests=dests,

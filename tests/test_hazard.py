@@ -67,7 +67,7 @@ def test_64bit_pair_dependency_detected_via_high_half():
 
 def test_latch_view_blocks_on_pending_load():
     load = Uop(
-        seq=1, pc=0, instr=ins(Mnemonic.LW, 5, 2), slot=0, dests=(5,),
+        seq=1, instr=ins(Mnemonic.LW, 5, 2), slot=0, dests=(5,),
         result=None, result_ready=False, is_load=True,
     )
     view = LatchView([load], [], RegFile())

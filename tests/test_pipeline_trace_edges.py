@@ -13,8 +13,7 @@ LABEL = 24
 
 
 def make_uop(seq, instr, issue, wb=-1):
-    return Uop(seq=seq, pc=4 * seq, instr=instr, slot=0,
-               issue_cycle=issue, wb_cycle=wb)
+    return Uop(seq=seq, instr=instr, slot=0, issue_cycle=issue, wb_cycle=wb)
 
 
 def grid(diagram, row):

@@ -281,7 +281,6 @@ def producer(draw, slot: int) -> Uop:
     value = draw(st.integers(0, (1 << (64 if is64 else 32)) - 1))
     return Uop(
         seq=0,
-        pc=0,
         instr=Instruction(Mnemonic.LW if is_load else Mnemonic.ADD, rd=rd),
         slot=slot,
         dests=dests,

@@ -8,8 +8,10 @@ from repro.analysis import (
     table1_stalls,
     table4_tcm_vs_cache,
 )
+from repro.analysis import experiments
 from repro.cpu.trace import render_pipeline_diagram
 from repro.cpu.uop import Uop
+from repro.errors import ExecutionLimitExceeded
 from repro.isa.instructions import Instruction, Mnemonic
 
 
@@ -19,8 +21,8 @@ def test_render_empty_trace():
 
 def test_render_contains_stage_letters():
     uop = Uop(
-        seq=1, pc=0, instr=Instruction(Mnemonic.ADD, rd=1), slot=0,
-        issue_cycle=5, mem_cycle=6, wb_cycle=7,
+        seq=1, instr=Instruction(Mnemonic.ADD, rd=1), slot=0,
+        issue_cycle=5, wb_cycle=7,
     )
     text = render_pipeline_diagram([uop])
     assert "D" in text and "E" in text and "M" in text and "W" in text
@@ -49,6 +51,12 @@ def test_fig2_audit_properties():
     assert result.wrapped_size_bytes - result.single_size_bytes < 128
     rendered = result.render()
     assert "loading loop" in rendered
+
+
+def test_fig2_audit_raises_when_the_cycle_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(experiments, "DEFAULT_MAX_CYCLES", 1_000)
+    with pytest.raises(ExecutionLimitExceeded):
+        fig2_structure_audit()
 
 
 def test_table1_superlinear_growth():
